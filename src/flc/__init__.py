@@ -1,8 +1,8 @@
 """Exact factorial characters of the classical Lie groups.
 
-Three independent routes — alternant ratios, flagged Jacobi-Trudi
-determinants, and weighted tableau sums — computed in exact integer
-arithmetic and cross-checkable as polynomial identities.
+Four independent routes — raw alternant ratios, h-alternant ratios,
+flagged Jacobi-Trudi determinants, and weighted tableau sums — computed
+in exact integer arithmetic and cross-checkable as polynomial identities.
 """
 
 from .polyring import (
@@ -36,6 +36,7 @@ from .characters import (
     char_jacobi_trudi,
     char_raw,
     char_raw_diff,
+    char_raw_so_even,
     char_so_even,
     char_spec,
     character,
@@ -54,6 +55,8 @@ from .tableaux import (
     tab_stats,
     tableau_sum,
     weight,
+    weighted_sum,
+    weighted_tableaux,
 )
 from .latticepaths import (
     IntersectingTuple,

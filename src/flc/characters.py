@@ -39,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import product
+from typing import Callable, Iterable, List, Sequence
 
 from .hfuncs import HKind, VarSpec, factorial_power, h
 from .polyring import (
@@ -50,9 +51,7 @@ from .polyring import (
     XB,
     eval_integer,
     map_s_to_x,
-    pa,
     poly_determinant,
-    poly_exact_div_inverses,
     poly_exact_div_inverses_many,
     poly_halve,
     poly_reduce_inverses,
@@ -62,7 +61,6 @@ from .polyring import (
     ps,
     psb,
 )
-from .series import series_coeff, series_geometric, series_linear, series_mul, series_one, series_add
 
 __all__ = [
     "Group",
@@ -70,11 +68,13 @@ __all__ = [
     "char_spec",
     "make_partition",
     "partition_length",
+    "shapes",
     "char_raw",
     "char_alternant",
     "char_jacobi_trudi",
     "char_raw_diff",
     "char_so_even",
+    "char_raw_so_even",
     "character",
     "weyl_denominator_product",
     "zero_a",
@@ -120,6 +120,16 @@ def partition_length(lam: Sequence[int]) -> int:
     return sum(1 for p in lam if p)
 
 
+def shapes(n: int, max_part: int) -> List[tuple]:
+    """All weakly decreasing n-part shapes with parts <= max_part, zeros
+    included, largest first."""
+    return [
+        lam
+        for lam in product(range(max_part, -1, -1), repeat=n)
+        if all(lam[i] >= lam[i + 1] for i in range(n - 1))
+    ]
+
+
 @dataclass(frozen=True)
 class CharSpec:
     group: Group
@@ -160,29 +170,10 @@ def _alt_entry(group: Group, i: int, m: int) -> Poly:
     if group is Group.OO:
         return h(VarSpec(HKind.OO, pairs=(i,)), m)
     if group is Group.EO:
-        # The delta-free one-pair series: at m = 0 this is 2, not 1; the
-        # halving below absorbs the overall factor of 2 per eta-convention.
-        cap = m
-        prod = series_add(series_geometric(px(i), cap), series_geometric(pxb(i), cap))
-        for j in range(1, m + 1):
-            prod = series_mul(prod, series_linear(pa(j), cap))
-        return series_coeff(prod, m)
+        # The delta-free one-pair series: at m = 0 this is 2, not h_0 = 1;
+        # the halving below absorbs the overall factor of 2 per eta-convention.
+        return h(VarSpec(HKind.EO, pairs=(i,)), m) + (ONE if m == 0 else ZERO)
     raise ValueError(f"no alternant for group {group}")
-
-
-def _ratio(numer: Poly, denom: Poly, factors: Sequence[Poly], fast: bool) -> Poly:
-    """numer / denom, exact modulo the reciprocal pairing x_i*xb_i = 1.
-
-    The barred letters stand for reciprocals, and the alternant quotients
-    only exist granting that pairing (for two or more pairs the free-ring
-    division genuinely fails), so the division runs through
-    poly_exact_div_inverses.  When the reduced denominator is known to
-    match its product form the division runs factor by factor (much
-    faster); otherwise it divides by the determinant directly.
-    """
-    if fast:
-        return poly_exact_div_inverses_many(numer, factors)
-    return poly_exact_div_inverses(numer, denom)
 
 
 def _denominator_factors(group: Group, n: int) -> list:
@@ -241,12 +232,12 @@ _ENTRY_FN = {"raw": _raw_entry, "alternant": _alt_entry}
 
 @lru_cache(maxsize=None)
 def _denominator_info(group: Group, n: int, route: str) -> tuple:
-    """Reduced (EO: halved) denominator determinant, factors, fast flag.
+    """Product-form factors of the denominator, and whether they match it.
 
-    The factors multiply out to the denominator modulo the reciprocal
-    pairing; ``fast`` records that the reduced forms really coincide, so
-    the ratio can divide factor by factor.  Cached: the denominator of a
-    ratio character depends only on the group, the rank and the route.
+    ``matches`` records that the reduced (EO: halved) denominator
+    determinant equals the reduced product of the factors, so the ratio
+    can divide factor by factor.  Cached: the denominator of a ratio
+    character depends only on the group, the rank and the route.
     """
     entry = _ENTRY_FN[route]
     exps_den = [n - (j + 1) for j in range(n)]
@@ -262,8 +253,25 @@ def _denominator_info(group: Group, n: int, route: str) -> tuple:
     prod = ONE
     for f in factors:
         prod = prod * f
-    fast = denom == poly_reduce_inverses(prod)
-    return denom, factors, fast
+    matches = denom == poly_reduce_inverses(prod)
+    return factors, matches
+
+
+def _divide_by_denominator(numer: Poly, group: Group, n: int, route: str) -> Poly:
+    """numer / denominator, exact modulo the reciprocal pairing x_i*xb_i = 1.
+
+    The barred letters stand for reciprocals, and the alternant quotients
+    only exist granting that pairing (for two or more pairs the free-ring
+    division genuinely fails).  The division runs factor by factor, which
+    is only sound when the reduced denominator determinant equals the
+    reduced factor product, so that identity is checked, not assumed.
+    """
+    factors, matches = _denominator_info(group, n, route)
+    if not matches:
+        raise ArithmeticError(
+            f"{route} denominator for {group.value}, n={n} differs from its product form"
+        )
+    return poly_exact_div_inverses_many(poly_reduce_inverses(numer), factors)
 
 
 def _ratio_character(spec: CharSpec, route: str) -> Poly:
@@ -277,8 +285,7 @@ def _ratio_character(spec: CharSpec, route: str) -> Poly:
     )
     if group is Group.EO and lam[n - 1] == 0:
         numer = poly_halve(numer)
-    denom, factors, fast = _denominator_info(group, n, route)
-    out = _ratio(poly_reduce_inverses(numer), denom, factors, fast)
+    out = _divide_by_denominator(numer, group, n, route)
     if group is Group.OO and route == "raw":
         out = map_s_to_x(out)
     return out
@@ -336,26 +343,42 @@ def char_raw_diff(n: int, lam_parts: Iterable[int]) -> Poly:
     if not numer:
         return ZERO
     # The denominator is the halved even-orthogonal one, shared with char_raw.
-    denom, factors, fast = _denominator_info(Group.EO, n, "raw")
-    return _ratio(poly_reduce_inverses(numer), denom, factors, fast)
+    return _divide_by_denominator(numer, Group.EO, n, "raw")
 
 
-def char_so_even(spec: CharSpec) -> Poly:
-    """Irreducible so(2n) character for SO_EVEN_PLUS / SO_EVEN_MINUS.
+def _so_even_split(
+    spec: CharSpec,
+    eo_route: Callable[[CharSpec], Poly],
+    diff_route: Callable[[CharSpec], Poly],
+) -> Poly:
+    """(o + o')/2 for SO_EVEN_PLUS, (o - o')/2 for SO_EVEN_MINUS, with o
+    and o' taken from the one route given.
 
     The plus/minus split exists only when lambda has n nonzero parts;
     otherwise both signs coincide with the full even-orthogonal character.
     """
     if spec.group not in (Group.SO_EVEN_PLUS, Group.SO_EVEN_MINUS):
-        raise ValueError(f"char_so_even needs a so-even group, got {spec.group}")
+        raise ValueError(f"so-even character needs a so-even group, got {spec.group}")
     n, lam = spec.rank, spec.lam
-    eo = char_jacobi_trudi(CharSpec(Group.EO, n, lam))
+    eo = eo_route(CharSpec(Group.EO, n, lam))
     if partition_length(lam) < n:
         return eo
-    diff = char_jacobi_trudi(CharSpec(Group.EO_DIFF, n, lam))
+    diff = diff_route(CharSpec(Group.EO_DIFF, n, lam))
     if spec.group is Group.SO_EVEN_PLUS:
         return poly_halve(eo + diff)
     return poly_halve(eo - diff)
+
+
+def char_so_even(spec: CharSpec) -> Poly:
+    """Irreducible so(2n) character for SO_EVEN_PLUS / SO_EVEN_MINUS, from
+    Jacobi-Trudi determinants."""
+    return _so_even_split(spec, char_jacobi_trudi, char_jacobi_trudi)
+
+
+def char_raw_so_even(spec: CharSpec) -> Poly:
+    """The same so(2n) character from the raw ratios char_raw and
+    char_raw_diff only."""
+    return _so_even_split(spec, char_raw, lambda s: char_raw_diff(s.rank, s.lam))
 
 
 def zero_a(p: Poly) -> Poly:

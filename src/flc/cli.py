@@ -8,10 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from itertools import product as iproduct
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .characters import (
@@ -20,11 +17,14 @@ from .characters import (
     char_jacobi_trudi,
     char_raw,
     char_raw_diff,
+    char_raw_so_even,
     char_so_even,
     char_spec,
+    character,
     dimension,
     make_partition,
     partition_length,
+    shapes,
     zero_a,
 )
 from .hfuncs import HKind, VarSpec, gl_vars, h
@@ -33,7 +33,6 @@ from .polyring import (
     ZERO,
     Poly,
     parse_var,
-    poly_halve,
     poly_reduce_inverses,
     poly_substitute,
     poly_to_json,
@@ -44,15 +43,13 @@ from .polyring import (
 from .tableaux import (
     InvalidShape,
     diff_tableau_sum,
-    enumerate_tableaux,
-    is_diff_tableau,
-    so_even_coefficient,
     so_even_tableau_sum,
     tab_stats,
     tableau_sum,
     tableau_to_json,
     tableau_to_text,
-    weight,
+    weighted_sum,
+    weighted_tableaux,
 )
 
 __all__ = ["main"]
@@ -128,36 +125,19 @@ def _parse_eval(pairs: Sequence[str]) -> dict:
 
 def _method_character(group: Group, n: int, lam: tuple, method: str) -> Poly:
     """One character value by the named route, for any CLI group."""
-    if group in _BASE_GROUPS:
-        spec = char_spec(group, n, lam)
-        if method == "alternant":
-            return char_alternant(spec)
-        if method == "jacobi-trudi":
-            return char_jacobi_trudi(spec)
-        return tableau_sum(group, n, lam)
-    if group is Group.EO_DIFF:
-        if method == "alternant":
-            return char_raw_diff(n, lam)
-        if method == "jacobi-trudi":
-            return char_jacobi_trudi(char_spec(group, n, lam))
-        # empty first-column subset when lambda_n = 0: the sum is 0
-        if partition_length(lam) < n:
+    if method == "tableaux":
+        try:
+            return weighted_sum(weighted_tableaux(group, n, lam))
+        except InvalidShape:  # o-even-diff with lambda_n = 0: no tableau qualifies
             return ZERO
-        return diff_tableau_sum(n, lam)
-    # so-even plus/minus
-    plus = group is Group.SO_EVEN_PLUS
-    degenerate = partition_length(lam) < n
-    if method == "alternant":
-        eo = char_raw(char_spec(Group.EO, n, lam))
-        if degenerate:
-            return eo
-        diff = char_raw_diff(n, lam)
-        return poly_halve(eo + diff) if plus else poly_halve(eo - diff)
+    spec = char_spec(group, n, lam)
     if method == "jacobi-trudi":
-        return char_so_even(char_spec(group, n, lam))
-    if degenerate:
-        return tableau_sum(Group.EO, n, lam)
-    return so_even_tableau_sum(n, lam, plus)
+        return character(spec)
+    if group in _BASE_GROUPS:
+        return char_alternant(spec)
+    if group is Group.EO_DIFF:
+        return char_raw_diff(n, lam)
+    return char_raw_so_even(spec)
 
 
 def _emit(doc: dict, text: str, fmt: str) -> None:
@@ -201,45 +181,14 @@ def cmd_char(args: argparse.Namespace) -> int:
     return 0 if agree else 2
 
 
-def _listed_tableaux(group: Group, n: int, lam: tuple) -> List[Tuple[object, int]]:
-    """(tableau, coefficient) pairs the group's sum actually uses."""
-    if group is Group.EO_DIFF:
-        if partition_length(lam) < n:
-            raise InvalidShape(
-                f"the difference sum needs {n} nonzero parts, got {list(lam)}"
-            )
-        return [
-            (t, (-1) ** tab_stats(t, group).bar)
-            for t in enumerate_tableaux(Group.EO, n, lam)
-            if is_diff_tableau(t, n)
-        ]
-    if group in (Group.SO_EVEN_PLUS, Group.SO_EVEN_MINUS):
-        if partition_length(lam) < n:  # no plus/minus split: plain o(2n) set
-            group = Group.EO
-        else:
-            plus = group is Group.SO_EVEN_PLUS
-            return [
-                (t, c)
-                for t in enumerate_tableaux(Group.EO, n, lam)
-                if (c := so_even_coefficient(t, plus))
-            ]
-    return [
-        (t, 1 << tab_stats(t, group).zeta) for t in enumerate_tableaux(group, n, lam)
-    ]
-
-
 def cmd_tableaux(args: argparse.Namespace) -> int:
     group = _parse_group(args.group)
     lam = _parse_lambda(args.lam, args.rank)
-    listed = _listed_tableaux(group, args.rank, lam)
+    listed = list(weighted_tableaux(group, args.rank, lam))
 
-    wgroup = Group.EO if group not in _BASE_GROUPS else group
-    total = ZERO
     rows_json = []
     lines = []
-    for idx, (t, c) in enumerate(listed, start=1):
-        w = weight(t, wgroup, args.rank)
-        total = total + c * w
+    for idx, (t, c, w) in enumerate(listed, start=1):
         st = tab_stats(t, group)
         rows_json.append(
             {
@@ -255,7 +204,7 @@ def cmd_tableaux(args: argparse.Namespace) -> int:
         lines.append(f"weight = {poly_to_str(w)}")
         lines.append(f"zeta = {st.zeta}  bar = {st.bar}  coeff = {c}")
         lines.append("")
-    total = poly_reduce_inverses(total)
+    total = weighted_sum(listed)
     lines.append(f"count = {len(listed)}")
     lines.append(f"sum = {poly_to_str(total)}")
     doc = {
@@ -281,17 +230,9 @@ def cmd_dim(args: argparse.Namespace) -> int:
 # verify
 
 
-def _shapes(n: int, max_part: int) -> List[tuple]:
-    out = []
-    for lam in iproduct(range(max_part, -1, -1), repeat=n):
-        if all(lam[i] >= lam[i + 1] for i in range(n - 1)):
-            out.append(lam)
-    return out
-
-
 def _check_routes(group: Group, max_rank: int, max_part: int) -> bool:
     for n in range(1, max_rank + 1):
-        for lam in _shapes(n, max_part):
+        for lam in shapes(n, max_part):
             spec = char_spec(group, n, lam)
             jt = char_jacobi_trudi(spec)
             if char_raw(spec) != jt or char_alternant(spec) != jt:
@@ -366,15 +307,15 @@ def _check_denominator(group: Group, max_rank: int) -> bool:
 
     for n in range(1, max_rank + 1):
         for route in ("raw", "alternant"):
-            denom, factors, fast = _denominator_info(group, n, route)
-            if not fast:  # det failed to match the reduced factor product
+            _, matches = _denominator_info(group, n, route)
+            if not matches:  # det failed to match the reduced factor product
                 return False
     return True
 
 
 def _check_lgv(max_rank: int, max_part: int) -> bool:
     for n in range(1, max_rank + 1):
-        for lam in _shapes(n, max_part):
+        for lam in shapes(n, max_part):
             if lgv_signed_sum(n, lam) != char_jacobi_trudi(
                 char_spec(Group.GL, n, lam)
             ):
@@ -384,7 +325,7 @@ def _check_lgv(max_rank: int, max_part: int) -> bool:
 
 def _check_so_even(max_rank: int, max_part: int) -> bool:
     for n in range(1, max_rank + 1):
-        for lam in _shapes(n, max_part):
+        for lam in shapes(n, max_part):
             if partition_length(lam) < n:
                 continue
             eo = char_jacobi_trudi(char_spec(Group.EO, n, lam))
@@ -444,12 +385,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         groups = set(_CANONICAL)
     checks = _verify_checks(args.max_rank, args.max_part, groups)
-    threads = max(1, int(os.environ.get("FLC_THREADS", "1")))
-    if threads > 1 and len(checks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(lambda c: c[1](), checks))
-    else:
-        outcomes = [fn() for _, fn in checks]
+    outcomes = [fn() for _, fn in checks]
     failed = 0
     lines = []
     for (name, _), ok in zip(checks, outcomes):

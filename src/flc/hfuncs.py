@@ -108,15 +108,6 @@ def gl_vars(*indices: int) -> tuple:
     return tuple(X(i) for i in indices)
 
 
-def interleaved_vars(pairs) -> tuple:
-    """x_i, xb_i for each pair index, in order."""
-    out = []
-    for i in pairs:
-        out.append(X(i))
-        out.append(XB(i))
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _fp_cached(base: Poly, m: int, shift: int) -> Poly:
     if m == 0:

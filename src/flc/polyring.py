@@ -44,8 +44,7 @@ __all__ = [
     "ONE",
     "poly_const",
     "poly_var",
-    "poly_add",
-    "poly_mul",
+    "poly_sum",
     "poly_exact_div",
     "poly_exact_div_inverses",
     "poly_exact_div_inverses_many",
@@ -395,12 +394,22 @@ def pa(j: int) -> Poly:
     return poly_var(A(j))
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
+def poly_sum(polys: Iterable[Poly]) -> Poly:
+    """The sum of the polynomials, accumulated in place in one dict.
 
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
+    Equal to folding ``+`` from ZERO, but each term is added once instead
+    of the running sum being copied at every step.
+    """
+    out: dict = {}
+    get = out.get
+    for p in polys:
+        for m, c in p.terms.items():
+            nc = get(m, 0) + c
+            if nc:
+                out[m] = nc
+            else:
+                del out[m]
+    return _poly(out)
 
 
 def poly_exact_div(p: Poly, q: Poly) -> Poly:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .polyring import ONE, ZERO, Poly, poly_const
+from .polyring import ONE, ZERO, Poly
 
 __all__ = [
     "TruncSeries",
@@ -106,7 +106,3 @@ def series_coeff(s: TruncSeries, m: int) -> Poly:
     if m < 0 or m > s.cap:
         raise IndexOutOfRange(f"power {m} outside 0..{s.cap}")
     return s.coeffs[m]
-
-
-def series_const_int(c: int, cap: int) -> TruncSeries:
-    return series_from_polys(cap, [poly_const(c)])

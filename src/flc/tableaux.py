@@ -21,18 +21,20 @@ Each cell carries a linear weight from the group's table; the weighted
 sums over complete tableau sets reproduce the characters computed by the
 determinantal routes, with a multiplicity 2^zeta in the even-orthogonal
 case.  The even-orthogonal difference and plus/minus sums reuse the same
-tableau set with first-column restrictions and signs.  Summed values are
-normalised with poly_reduce_inverses like every other character-level
-value; the per-tableau weight is the literal product of its cell factors.
+tableau set with first-column restrictions and signs.  All of these are
+one sum, weighted_tableaux, with a coefficient rule per group.  Summed
+values are normalised with poly_reduce_inverses like every other
+character-level value; the per-tableau weight is the literal product of
+its cell factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, Tuple
 
 from .characters import Group, make_partition, partition_length
-from .polyring import ONE, ZERO, Poly, pa, poly_reduce_inverses, px, pxb
+from .polyring import ONE, Poly, pa, poly_reduce_inverses, poly_sum, px, pxb
 
 __all__ = [
     "Entry",
@@ -43,6 +45,8 @@ __all__ = [
     "enumerate_tableaux",
     "weight",
     "tab_stats",
+    "weighted_tableaux",
+    "weighted_sum",
     "tableau_sum",
     "diff_tableau_sum",
     "so_even_tableau_sum",
@@ -220,36 +224,11 @@ def tab_stats(t: Tableau, group: Group) -> TabStats:
     return TabStats(zeta=z, bar=_bar_count(t))
 
 
-def tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
-    """Sum of 2^zeta * weight over the group's tableaux of shape lambda."""
-    if group not in (Group.GL, Group.SP, Group.OO, Group.EO):
-        raise ValueError(f"no plain tableau sum for group {group}")
-    total = ZERO
-    for t in enumerate_tableaux(group, n, lam_parts):
-        total = total + (1 << tab_stats(t, group).zeta) * weight(t, group, n)
-    return poly_reduce_inverses(total)
-
-
 def is_diff_tableau(t: Tableau, n: int) -> bool:
     """First column reads k or k~ at every level k = 1..n."""
     if len(t.rows) != n:
         return False
     return all(t.rows[k - 1][0].k == k for k in range(1, n + 1))
-
-
-def diff_tableau_sum(n: int, lam_parts: Iterable[int]) -> Poly:
-    """Signed sum (-1)^bar * weight over the first-column-restricted
-    even-orthogonal tableaux; the difference character o'."""
-    lam = make_partition(lam_parts, n)
-    if partition_length(lam) < n:
-        raise InvalidShape(f"difference sum needs n={n} nonzero parts, got {lam}")
-    total = ZERO
-    for t in enumerate_tableaux(Group.EO, n, lam):
-        if not is_diff_tableau(t, n):
-            continue
-        w = weight(t, Group.EO_DIFF, n)
-        total = total + ((-1) ** _bar_count(t)) * w
-    return poly_reduce_inverses(total)
 
 
 def so_even_coefficient(t: Tableau, plus: bool) -> int:
@@ -263,17 +242,64 @@ def so_even_coefficient(t: Tableau, plus: bool) -> int:
     return (1 + sign) // 2 if plus else (1 - sign) // 2
 
 
+def weighted_tableaux(
+    group: Group, n: int, lam_parts: Iterable[int]
+) -> Iterator[Tuple[Tableau, int, Poly]]:
+    """Yield (tableau, coefficient, weight) for every tableau in the group's sum.
+
+    The coefficient rules, the only place they are written down:
+
+        GL, SP, OO, EO           2^zeta
+        EO_DIFF                  (-1)^bar, first column k or k~ at level k
+        SO_EVEN_PLUS/MINUS       so_even_coefficient, when lambda has n
+                                 nonzero parts; otherwise there is no split
+                                 and the plain o(2n) rule 2^zeta applies
+
+    Tableaux with coefficient 0 are left out.  For EO_DIFF with fewer than
+    n nonzero parts, iterating raises InvalidShape.  The triples are yielded,
+    not listed, so a sum never holds every weight at once.
+    """
+    lam = make_partition(lam_parts, n)
+    full = partition_length(lam) == n
+    if group is Group.EO_DIFF and not full:
+        raise InvalidShape(f"difference sum needs n={n} nonzero parts, got {lam}")
+    split = full and group in (Group.SO_EVEN_PLUS, Group.SO_EVEN_MINUS)
+    for t in enumerate_tableaux(group, n, lam):
+        if group is Group.EO_DIFF:
+            c = (-1) ** _bar_count(t) if is_diff_tableau(t, n) else 0
+        elif split:
+            c = so_even_coefficient(t, group is Group.SO_EVEN_PLUS)
+        else:
+            c = 1 << tab_stats(t, group).zeta
+        if c:
+            yield t, c, weight(t, group, n)
+
+
+def weighted_sum(triples: Iterable[Tuple[Tableau, int, Poly]]) -> Poly:
+    """Sum of coefficient * weight over weighted_tableaux triples, reduced."""
+    return poly_reduce_inverses(poly_sum(c * w for _, c, w in triples))
+
+
+def tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
+    """Sum of 2^zeta * weight over the group's tableaux of shape lambda."""
+    if group not in (Group.GL, Group.SP, Group.OO, Group.EO):
+        raise ValueError(f"no plain tableau sum for group {group}")
+    return weighted_sum(weighted_tableaux(group, n, lam_parts))
+
+
+def diff_tableau_sum(n: int, lam_parts: Iterable[int]) -> Poly:
+    """Signed sum (-1)^bar * weight over the first-column-restricted
+    even-orthogonal tableaux; the difference character o'."""
+    return weighted_sum(weighted_tableaux(Group.EO_DIFF, n, lam_parts))
+
+
 def so_even_tableau_sum(n: int, lam_parts: Iterable[int], plus: bool) -> Poly:
     """The irreducible so(2n) character as a weighted tableau sum."""
     lam = make_partition(lam_parts, n)
     if partition_length(lam) < n:
         raise InvalidShape(f"plus/minus split needs n={n} nonzero parts, got {lam}")
-    total = ZERO
-    for t in enumerate_tableaux(Group.EO, n, lam):
-        c = so_even_coefficient(t, plus)
-        if c:
-            total = total + c * weight(t, Group.EO, n)
-    return poly_reduce_inverses(total)
+    group = Group.SO_EVEN_PLUS if plus else Group.SO_EVEN_MINUS
+    return weighted_sum(weighted_tableaux(group, n, lam))
 
 
 def tableau_to_text(t: Tableau) -> str:

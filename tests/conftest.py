@@ -1,7 +1,6 @@
-"""Shared test helpers: partition ranges and hypothesis strategies."""
+"""Shared test helpers: the acceptance summary and hypothesis strategies."""
 
 import sys
-from itertools import product as _iproduct
 
 from hypothesis import strategies as st
 
@@ -19,23 +18,14 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(line)
 
 
-def shapes(n: int, max_part: int):
-    """All weakly decreasing shapes with at most n parts, each <= max_part."""
-    out = []
-    for lam in _iproduct(range(max_part, -1, -1), repeat=n):
-        if all(lam[i] >= lam[i + 1] for i in range(n - 1)):
-            out.append(lam)
-    return out
-
-
 _VARS = [X(1), X(2), XB(1), XB(2), A(1), A(2)]
 
 
 @st.composite
 def monomials(draw):
-    pairs = draw(
-        st.lists(st.tuples(st.sampled_from(_VARS), st.integers(1, 2)), max_size=3)
-    )
+    # Large exponents too, so exact division sees wide packed fields.
+    exps = st.integers(1, 2) | st.integers(3, 70)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_VARS), exps), max_size=3))
     m = poly_const(1)
     for v, e in pairs:
         m = m * poly_var(v) ** e

@@ -15,6 +15,7 @@ from flc.characters import (
     char_spec,
     dimension,
     partition_length,
+    shapes,
 )
 from flc.hfuncs import HKind, VarSpec, explicit_h, gl_vars, h
 from flc.latticepaths import enumerate_gl_tuples, lgv_signed_sum, tuple_to_tableau
@@ -43,7 +44,6 @@ from flc.tableaux import (
 )
 
 import oracles
-from conftest import shapes
 from test_characters import _denominator_product, _raw_denominator_matrix
 
 red = poly_reduce_inverses

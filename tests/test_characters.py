@@ -16,6 +16,7 @@ from flc.characters import (
     dimension,
     make_partition,
     partition_length,
+    shapes,
     weyl_denominator_product,
     zero_a,
 )
@@ -38,7 +39,6 @@ from flc.polyring import (
 )
 
 import oracles
-from conftest import shapes
 
 red = poly_reduce_inverses
 

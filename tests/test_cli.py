@@ -1,6 +1,7 @@
 """The command-line surface: pinned outputs, exit codes, JSON round-trips,
 and the verification suite including a negative control."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -171,6 +172,58 @@ def test_tableaux_json_document(capsys):
 
 
 # ---------------------------------------------------------------------------
+# pinned bytes: SHA-256 over stdout and exit code of every shape with
+# rank <= 2 and parts <= 2 (degenerate shapes included), per command and group
+
+_PINNED_SHAPES = (
+    (1, "0"), (1, "1"), (1, "2"),
+    (2, "0,0"), (2, "1,0"), (2, "1,1"), (2, "2,0"), (2, "2,1"), (2, "2,2"),
+)
+
+_PINNED_COMMANDS = {
+    "tableaux": ("tableaux",),
+    "tableaux-json": ("tableaux", "--format", "json"),
+    "char-all": ("char", "--method", "all"),
+}
+
+_PINNED_DIGESTS = {
+    ("tableaux", "gl"): "5a8bdf7564dcbc3becae4939e901bc22d0db2d778ef48908db1c19b0097e4c1e",
+    ("tableaux", "sp"): "7ef2c51907c30785b900960c422d9d1d573f6e9f09a9e805a19ed56c952682f3",
+    ("tableaux", "so-odd"): "7194ce4d06fee6f601989f138c38157a00fd185f36386800b24c9b45418a3af8",
+    ("tableaux", "o-even"): "13704b93b5675bb312b2dc801102b65b1ea9738596905b030ed2e144cf5971c2",
+    ("tableaux", "o-even-diff"): "51fb6c57f189d11f5c2d5ea0950cc5bf33e14bf9138e2885ba9af749831cb07e",
+    ("tableaux", "so-even-plus"): "759170da761ed28d2986ec3a1ca4703ac41285b2e7e04426acb09b54773e8876",
+    ("tableaux", "so-even-minus"): "639a18da5447120605aec4a4fe9656e696d725e06c2a7e6de8017f6b9c190439",
+    ("tableaux-json", "gl"): "4dce53b0db71b771b7713d2d8ee708ec91cd3622d42a7873b1c0037657cf5b59",
+    ("tableaux-json", "sp"): "527f1e050266dbf4c0ffc7464ff480d94461d6de075a10fc9695430089aff135",
+    ("tableaux-json", "so-odd"): "94287c372236a5b8f471a046848143207d421d3d615eb4deb1a4b57271cbbee0",
+    ("tableaux-json", "o-even"): "2058760a0bbed6fe3d0e2bdf6f251691beeca3dc51cbc46d034ec93b6404f5fc",
+    ("tableaux-json", "o-even-diff"): "a9f9e393170ba73785499936bec35f6ebd2a33d2be2f7e3a74357a8692137997",
+    ("tableaux-json", "so-even-plus"): "d567f640a4a5c1c4b3e1c3332bc223c4106e75554ebae9352be1bc564b38fb02",
+    ("tableaux-json", "so-even-minus"): "b90d09abf7e37ead07c71737319500c30208b243845854f41fd7d38499431e32",
+    ("char-all", "gl"): "4ab1dc8e86bf67b46320da46c60b08b9432ec428952e53f5a28bcce1b47dbc05",
+    ("char-all", "sp"): "c9a8a5d8caff1d95f59259445dec210fe4d2e33ba2a373280d155961d9a409b7",
+    ("char-all", "so-odd"): "af4bcb64deb5be87530462a04295a36be5f7b5feaf0ef40621bec120cbc7df75",
+    ("char-all", "o-even"): "0e869076b6c9b5be16ded635397ad50e64bb10502d629bee39238c5986708bfa",
+    ("char-all", "o-even-diff"): "9a5d3865abc30020fa0e0b84cfbe3940c5c9c8f36c1a4dc786672e86222427b0",
+    ("char-all", "so-even-plus"): "02f861224469fed4e620138b2dc7a7762f1d70951339b3a93e5883f477caa81e",
+    ("char-all", "so-even-minus"): "86dd8a9dba723677447f71922e848dabdfcd0960896642536e9337e340be6f7f",
+}
+
+
+@pytest.mark.parametrize("command,group", sorted(_PINNED_DIGESTS))
+def test_cli_output_digest(capsys, command, group):
+    sub, *rest = _PINNED_COMMANDS[command]
+    digest = hashlib.sha256()
+    for rank, lam in _PINNED_SHAPES:
+        code, out, _ = run_cli(
+            capsys, sub, "--group", group, "--rank", str(rank), "--lambda", lam, *rest
+        )
+        digest.update(f"{code}\n{out}\0".encode())
+    assert digest.hexdigest() == _PINNED_DIGESTS[command, group]
+
+
+# ---------------------------------------------------------------------------
 # dim
 
 
@@ -257,15 +310,6 @@ def test_verify_json_report(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert all(check["ok"] for check in doc["checks"])
-
-
-def test_verify_thread_count_does_not_change_report(capsys, monkeypatch):
-    args = ("verify", "--groups", "gl,sp", "--max-rank", "2", "--max-part", "1")
-    monkeypatch.setenv("FLC_THREADS", "1")
-    code_serial, out_serial, _ = run_cli(capsys, *args)
-    monkeypatch.setenv("FLC_THREADS", "4")
-    code_pool, out_pool, _ = run_cli(capsys, *args)
-    assert (code_serial, out_serial) == (code_pool, out_pool)
 
 
 def test_verify_detects_injected_weight_fault(capsys, monkeypatch):

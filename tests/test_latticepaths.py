@@ -5,7 +5,7 @@ from itertools import permutations
 
 import pytest
 
-from flc.characters import Group, char_jacobi_trudi, char_spec
+from flc.characters import Group, char_jacobi_trudi, char_spec, shapes
 from flc.latticepaths import (
     IntersectingTuple,
     LatticePath,
@@ -15,8 +15,6 @@ from flc.latticepaths import (
 )
 from flc.polyring import ONE, pa, poly_to_str, px
 from flc.tableaux import Entry, Tableau, enumerate_tableaux, weight
-
-from conftest import shapes
 
 E = Entry
 

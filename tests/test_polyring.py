@@ -31,6 +31,7 @@ from flc.polyring import (
     poly_halve,
     poly_reduce_inverses,
     poly_substitute,
+    poly_sum,
     poly_to_json,
     poly_to_str,
     poly_var,
@@ -65,6 +66,16 @@ def test_add_associative(p, q, r):
 def test_add_identity_and_inverse(p):
     assert p + ZERO == p
     assert p - p == ZERO
+
+
+@given(st.lists(polys(), max_size=6))
+def test_sum_is_left_fold_of_add(ps):
+    folded = ZERO
+    for p in ps:
+        folded = folded + p
+    got = poly_sum(ps)
+    assert got == folded
+    assert all(got.terms.values())  # no zero coefficient is kept
 
 
 @given(polys(), polys())

@@ -12,6 +12,7 @@ from flc.characters import (
     char_raw_diff,
     char_so_even,
     char_spec,
+    shapes,
     zero_a,
 )
 from flc.polyring import ONE, eval_integer, pa, poly_to_str, px, pxb
@@ -34,7 +35,6 @@ from flc.tableaux import (
 )
 
 import oracles
-from conftest import shapes
 
 E = Entry
 BASE_GROUPS = (Group.GL, Group.SP, Group.OO, Group.EO)
