@@ -271,7 +271,7 @@ def _divide_by_denominator(numer: Poly, group: Group, n: int, route: str) -> Pol
         raise ArithmeticError(
             f"{route} denominator for {group.value}, n={n} differs from its product form"
         )
-    return poly_exact_div_inverses_many(poly_reduce_inverses(numer), factors)
+    return poly_exact_div_inverses_many(numer, factors)
 
 
 def _ratio_character(spec: CharSpec, route: str) -> Poly:

@@ -412,78 +412,119 @@ def poly_sum(polys: Iterable[Poly]) -> Poly:
     return _poly(out)
 
 
-def poly_exact_div(p: Poly, q: Poly) -> Poly:
-    """Divide p by q, raising DivisionNotExact unless q divides p exactly.
-
-    Classic leading-term elimination in the graded-lex order, run over
-    packed exponent vectors (Johnson, "Sparse polynomial arithmetic",
-    1974; Monagan and Pearce, "Polynomial division using dynamic arrays,
-    heaps, and packed exponent vectors", 2007).  Each call lays out its
-    own fields: the variable codes occurring in p or q, in ascending
-    order, fill fields from the most significant down, and the total
-    degree takes one field above all of them.  A monomial is then one
-    int whose order is exactly the graded-lex order, multiplying two
-    monomials adds their ints, and m / lead(q) is a subtraction that is a
-    monomial precisely when no field borrows.  The top bit of each field
-    is a guard bit that catches such a borrow (a difference below zero
-    borrows out of the degree field, so it is caught too).
-
-    Every field is wide enough for D, the largest total degree of p and
-    q, plus the guard bit, and no field can overflow: the remainder
-    starts as p, and each monomial added later is t*m_q with
-    t*m_q < t*lead(q) = m, the term being eliminated, so by induction
-    every remainder monomial is at most lead(p) in the graded order.  Its
-    total degree, and with it each of its exponents, is therefore at most
-    deg p <= D, and so is every quotient term's.
-
-    The remainder lives in a dict keyed by packed monomial; a lazy max-heap
-    of the same ints yields its current leading term, so the loop costs
-    roughly (number of quotient terms) x (size of q).  The quotient is
-    unpacked once, at the end.
-    """
-    if not q.terms:
-        raise DivisionByZero("division by the zero polynomial")
-    if not p.terms:
-        return ZERO
-    seen: set = set()
+def _codes_and_degree(p: Poly, codes: set) -> int:
+    """Add the variable codes of p to ``codes``; return p's total degree."""
     deg = 0
-    for poly in (p, q):
-        for m in poly.terms:
-            d = 0
-            for code, e in m:
-                seen.add(code)
-                d += e
-            if d > deg:
-                deg = d
-    codes = sorted(seen)
-    width = deg.bit_length() + 1
-    top = len(codes) * width
-    shifts = [(code, top - (k + 1) * width) for k, code in enumerate(codes)]
-    # Adding e * unit[code] raises that exponent and the degree field by e.
-    unit = {code: (1 << sh) | (1 << top) for code, sh in shifts}
-    guard = sum(1 << (k * width + width - 1) for k in range(len(codes) + 1))
-    field = (1 << width) - 1
-
-    def pack(m: Mono) -> int:
-        v = 0
+    for m in p.terms:
+        d = 0
         for code, e in m:
-            v += e * unit[code]
-        return v
+            codes.add(code)
+            d += e
+        if d > deg:
+            deg = d
+    return deg
 
-    def unpack(v: int) -> Mono:
+
+class _Layout:
+    """A packed-exponent layout shared by every step of one computation.
+
+    After Monagan and Pearce, "Polynomial division using dynamic arrays,
+    heaps, and packed exponent vectors" (CASC 2007): the variable codes,
+    in ascending order, fill fields from the most significant down, and
+    the total degree takes one field above all of them.  A monomial is
+    then one int whose order is exactly the graded-lex order, and
+    multiplying two monomials adds their ints.
+
+    Every field is ``degree.bit_length() + 1`` bits wide.  Its low bits
+    hold any value up to ``degree`` and its top bit is a guard bit, so
+    the layout is sound for every monomial whose total degree is at most
+    ``degree``: then each exponent, and the degree field itself, is at
+    most ``degree`` too, and a sum of two monomials that stays within the
+    bound carries out of no field.  Each caller states why its monomials
+    stay within the bound it passes.  A difference m - t is a monomial
+    exactly when it sets no bit of ``guard``: a field that goes below
+    zero borrows into its own guard bit, and a total degree below zero
+    makes the int negative, which sets the guard bit of the degree field
+    (|m - t| < 2^(that bit), because t's degree is at most ``degree``).
+    """
+
+    __slots__ = ("shifts", "unit", "guard", "field", "cut", "high")
+
+    def __init__(self, codes: Iterable[int], degree: int):
+        codes = sorted(codes)
+        width = degree.bit_length() + 1
+        top = len(codes) * width
+        self.shifts = [(code, top - (k + 1) * width) for k, code in enumerate(codes)]
+        # Adding e * unit[code] raises that exponent and the degree field by e.
+        self.unit = {code: (1 << sh) | (1 << top) for code, sh in self.shifts}
+        self.guard = sum(1 << (k * width + width - 1) for k in range(len(codes) + 1))
+        self.field = (1 << width) - 1
+        # to_poly splits the variable fields into a high and a low half.
+        self.cut = len(codes) // 2 * width
+        self.high = (1 << (top - self.cut)) - 1
+
+    def unpack(self, v: int) -> Mono:
+        field = self.field
         out = []
-        for code, sh in shifts:
+        for code, sh in self.shifts:
             e = (v >> sh) & field
             if e:
                 out.append((code, e))
         return tuple(out)
 
-    qterms = {pack(m): c for m, c in q.terms.items()}
-    lq = max(qterms)
-    cq = qterms.pop(lq)
+    def pack_terms(self, p: Poly) -> dict:
+        unit = self.unit
+        out = {}
+        for m, c in p.terms.items():
+            v = 0
+            for code, e in m:
+                v += e * unit[code]
+            out[v] = c
+        return out
+
+    def to_poly(self, terms: dict) -> Poly:
+        """Unpack every term.  Monomials share their halves far more often
+        than they repeat whole, so each half is unpacked once and cached."""
+        cut, high, low = self.cut, self.high, (1 << self.cut) - 1
+        unpack = self.unpack
+        highs: dict = {}
+        lows: dict = {}
+        out = {}
+        for v, c in terms.items():
+            h = (v >> cut) & high
+            mh = highs.get(h)
+            if mh is None:
+                mh = highs[h] = unpack(h << cut)
+            lo = v & low
+            ml = lows.get(lo)
+            if ml is None:
+                ml = lows[lo] = unpack(lo)
+            out[mh + ml] = c
+        return _poly(out)
+
+
+def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
+    """Packed quotient of rem by divisor, both under ``layout``.
+
+    Classic leading-term elimination in the graded-lex order (Johnson,
+    "Sparse polynomial arithmetic", 1974).  ``rem`` is consumed as the
+    remainder; a lazy max-heap of its ints yields its current leading
+    term, so the loop costs roughly (quotient terms) x (divisor terms).
+    The guard test of the layout rejects a leading term that lead(divisor)
+    does not divide, and DivisionNotExact names both terms unpacked.
+
+    No overflow, given that the layout bounds rem and divisor: the
+    remainder starts as rem, and each monomial added later is t*m_q for a
+    divisor term m_q, with t*m_q < t*lead(divisor) = m, the term being
+    eliminated, so by induction
+    every remainder monomial, and every quotient monomial t, is at most
+    lead(rem) in the graded order and within the layout's degree bound.
+    """
+    lq = max(divisor)
+    cq = divisor[lq]
     # m * (m_q / lead(q)) as one add; the field-wise sum never overflows.
-    offsets = [(mq - lq, c) for mq, c in qterms.items()]
-    rem = {pack(m): c for m, c in p.terms.items()}
+    offsets = [(mq - lq, c) for mq, c in divisor.items() if mq != lq]
+    guard = layout.guard
     heap = [-m for m in rem]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
@@ -496,8 +537,8 @@ def poly_exact_div(p: Poly, q: Poly) -> Poly:
         tm = m - lq
         if tm & guard or c % cq:
             raise DivisionNotExact(
-                f"remainder nonzero: leading term {_term_str(unpack(m), c, lead=True)} "
-                f"is not divisible by {_term_str(unpack(lq), cq, lead=True)}"
+                f"remainder nonzero: leading term {_term_str(layout.unpack(m), c, lead=True)} "
+                f"is not divisible by {_term_str(layout.unpack(lq), cq, lead=True)}"
             )
         tc = c // cq
         quot[tm] = tc  # the lead product tm*lead(q) cancels m exactly
@@ -510,7 +551,27 @@ def poly_exact_div(p: Poly, q: Poly) -> Poly:
                 rem[mm] = nc
             else:
                 del rem[mm]
-    return _poly({unpack(t): c for t, c in quot.items()})
+    return quot
+
+
+def poly_exact_div(p: Poly, q: Poly) -> Poly:
+    """Divide p by q, raising DivisionNotExact unless q divides p exactly.
+
+    One call of ``_divide_packed`` under a ``_Layout`` of the codes of p
+    and q, with degree bound D, the larger total degree of p and q.  That
+    bound holds for every monomial the division touches: each remainder
+    and quotient monomial is at most lead(p) in the graded order, so its
+    total degree is at most deg p <= D.  p and q are packed once and the
+    quotient is unpacked once, at the end.
+    """
+    if not q.terms:
+        raise DivisionByZero("division by the zero polynomial")
+    if not p.terms:
+        return ZERO
+    codes: set = set()
+    deg = max(_codes_and_degree(p, codes), _codes_and_degree(q, codes))
+    layout = _Layout(codes, deg)
+    return layout.to_poly(_divide_packed(layout.pack_terms(p), layout.pack_terms(q), layout))
 
 
 def poly_reduce_inverses(p: Poly) -> Poly:
@@ -600,6 +661,18 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
     reciprocal depth, so every intermediate quotient in the chain is again
     bar-free and the stepwise free divisions are exact whenever the full
     quotient exists.
+
+    The whole chain runs under one ``_Layout``, built from the cleared
+    dividend and all cleared divisors with degree bound D, the largest of
+    their total degrees: the dividend is packed once, every step
+    eliminates on the packed quotient of the step before, and the final
+    quotient is unpacked once.  No step overflows: within a step every
+    remainder and quotient monomial is at most the lead of that step's
+    dividend in the graded order, so its total degree is at most that
+    lead's; the dividend of each step is the quotient of the step before,
+    so by induction no monomial of the chain has a total degree above the
+    cleared dividend's, which is at most D.  p is reduced here, so
+    callers need not reduce it first.
     """
     a = poly_reduce_inverses(p)
     divs = [poly_reduce_inverses(q) for q in divisors]
@@ -638,14 +711,20 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
             comp[c] = sum_bar - need
     if shifts_a:
         a = _poly({_mono_shift_cancel(m, shifts_a): cc for m, cc in a.terms.items()})
-    quot = a
-    for b, sh in zip(divs, div_shifts):
-        if sh:
-            b = _poly({_mono_shift_cancel(m, sh): cc for m, cc in b.terms.items()})
-        quot = poly_exact_div(quot, b)
-    if comp and quot.terms:
-        quot = _poly({_mono_shift_cancel(m, comp): cc for m, cc in quot.terms.items()})
-    return quot
+    cleared = [
+        _poly({_mono_shift_cancel(m, sh): cc for m, cc in b.terms.items()}) if sh else b
+        for b, sh in zip(divs, div_shifts)
+    ]
+    codes: set = set()
+    deg = max(_codes_and_degree(poly, codes) for poly in [a, *cleared])
+    layout = _Layout(codes, deg)
+    quot = layout.pack_terms(a)
+    for b in cleared:
+        quot = _divide_packed(quot, layout.pack_terms(b), layout)
+    out = layout.to_poly(quot)
+    if comp:
+        return _poly({_mono_shift_cancel(m, comp): cc for m, cc in out.terms.items()})
+    return out
 
 
 def poly_halve(p: Poly) -> Poly:
@@ -659,33 +738,57 @@ def poly_halve(p: Poly) -> Poly:
 
 
 def _det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """First-row cofactor expansion, memoised on the surviving column set."""
+    """First-row cofactor expansion on packed exponents, memoised on the
+    surviving column set.
+
+    A last column that is zero above a diagonal 1 is peeled first by a
+    Laplace step (Jacobi-Trudi matrices of shapes with trailing zero parts
+    end in such columns), so a triangular matrix packs nothing.  The rest
+    is packed once under a ``_Layout`` whose degree bound D is the sum
+    over rows of the row's largest entry degree; every product in the
+    expansion takes one entry from each of some set of rows, so it, and
+    every minor, has total degree at most D and no field overflows.
+    Products accumulate in place in one dict per minor, and the
+    determinant is unpacked once.
+    """
     k = len(rows)
+    while k > 1 and rows[k - 1][k - 1] == ONE and not any(rows[i][k - 1] for i in range(k - 1)):
+        k -= 1
+    if k == 0:
+        return ONE
+    if k == 1:
+        return rows[0][0]
+    codes: set = set()
+    bound = sum(max(_codes_and_degree(rows[i][j], codes) for j in range(k)) for i in range(k))
+    layout = _Layout(codes, bound)
+    packed = [[layout.pack_terms(rows[i][j]) for j in range(k)] for i in range(k)]
     memo: dict = {}
 
-    def rec(cols: tuple) -> Poly:
+    def rec(cols: tuple) -> dict:
         r = k - len(cols)
         if len(cols) == 1:
-            return rows[r][cols[0]]
+            return packed[r][cols[0]]
         cached = memo.get(cols)
         if cached is not None:
             return cached
-        total = ZERO
+        out: dict = {}
+        get = out.get
         for idx, c in enumerate(cols):
-            entry = rows[r][c]
+            entry = packed[r][c]
             if not entry:
                 continue
             sub = rec(cols[:idx] + cols[idx + 1:])
-            if idx % 2:
-                total = total - entry * sub
-            else:
-                total = total + entry * sub
-        memo[cols] = total
-        return total
+            sign = -1 if idx % 2 else 1
+            for m1, c1 in entry.items():
+                c1 *= sign
+                for m2, c2 in sub.items():
+                    mm = m1 + m2
+                    out[mm] = get(mm, 0) + c1 * c2
+        out = {m: c for m, c in out.items() if c}
+        memo[cols] = out
+        return out
 
-    if k == 0:
-        return ONE
-    return rec(tuple(range(k)))
+    return layout.to_poly(rec(tuple(range(k))))
 
 
 def _det_bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
@@ -721,6 +824,14 @@ def poly_determinant(rows: Sequence[Sequence[Poly]], method: str | None = None) 
     Small matrices (up to 5x5) go through memoised cofactor expansion;
     larger ones use fraction-free Bareiss elimination.  ``method`` can force
     ``"cofactor"`` or ``"bareiss"``.
+
+    The cofactor expansion runs on packed exponents under one layout whose
+    degree bound is the sum over rows of each row's largest entry degree.
+    Every term of the determinant, of every minor and of every product
+    formed on the way is a product of at most one entry per row, so its
+    total degree stays within that bound and no packed field overflows.
+    Bareiss works on Poly values and divides with poly_exact_div, whose
+    own layout covers each division.
     """
     k = len(rows)
     for row in rows:
@@ -740,21 +851,23 @@ def poly_substitute(p: Poly, mapping: Mapping[VarId, "Poly | int"]) -> Poly:
     code_map = {}
     for v, val in mapping.items():
         code_map[v.code()] = _coerce(val)
-    total = ZERO
-    for m, c in p.terms.items():
-        keep = []
-        factors = []
-        for code, exp in m:
-            sub = code_map.get(code)
-            if sub is None:
-                keep.append((code, exp))
-            else:
-                factors.append(sub ** exp)
-        term = _poly({tuple(keep): c})
-        for f in factors:
-            term = term * f
-        total = total + term
-    return total
+
+    def images():
+        for m, c in p.terms.items():
+            keep = []
+            factors = []
+            for code, exp in m:
+                sub = code_map.get(code)
+                if sub is None:
+                    keep.append((code, exp))
+                else:
+                    factors.append(sub ** exp)
+            term = _poly({tuple(keep): c})
+            for f in factors:
+                term = term * f
+            yield term
+
+    return poly_sum(images())
 
 
 def map_s_to_x(p: Poly) -> Poly:

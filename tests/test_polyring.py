@@ -1,6 +1,8 @@
 """Ring axioms, exact division, inverse-pair reduction, determinants,
 rendering and serialization for the sparse polynomial core."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -274,6 +276,47 @@ def test_exact_div_inverses_many_chains():
     assert quot == x1 + x2
 
 
+@settings(max_examples=100)
+@given(polys(), st.lists(nonzero_polys(), min_size=1, max_size=3))
+def test_exact_div_inverses_many_is_the_fold(f, qs):
+    red = poly_reduce_inverses
+    assume(all(red(q) for q in qs))
+    p = f
+    for q in qs:
+        p = p * q
+    folded = p
+    for q in qs:
+        folded = poly_exact_div_inverses(folded, q)
+    assert poly_exact_div_inverses_many(p, qs) == folded == red(f)
+
+
+_PLAIN = [X(1), X(2), A(1), A(2)]
+
+
+@settings(max_examples=100)
+@given(polys(), nonzero_polys(), polys(), polys(_PLAIN), polys(_PLAIN), st.integers(1, 3))
+def test_exact_div_inverses_many_fails_like_the_fold(f, q1, g, r2, r3, c):
+    # The message names leading terms of the operands after the barred
+    # letters are cleared.  The chain clears once for all divisors and the
+    # fold step by step; the two clearings agree when the divisors after
+    # the first are bar-free with a nonzero constant term.
+    q2, q3 = r2 + c, r3 + c
+    zero = {v: 0 for v in _PLAIN}
+    assume(eval_integer(q2, zero) and eval_integer(q3, zero))
+    assume(poly_reduce_inverses(q1))
+    p = f * q1 * g
+    step = poly_exact_div_inverses(p, q1)
+    try:
+        poly_exact_div_inverses(step, q2)
+    except DivisionNotExact as err:
+        folded = str(err)
+    else:
+        assume(False)  # the middle step happened to be exact
+    with pytest.raises(DivisionNotExact) as chained:
+        poly_exact_div_inverses_many(p, [q1, q2, q3])
+    assert str(chained.value) == folded
+
+
 # ---------------------------------------------------------------------------
 # halving
 
@@ -323,6 +366,53 @@ def test_determinant_rejects_non_square():
 def test_determinant_identity():
     eye = [[ONE if i == j else ZERO for j in range(4)] for i in range(4)]
     assert poly_determinant(eye) == ONE
+
+
+def _leibniz(rows):
+    """The determinant as a plain signed sum over permutations."""
+    k = len(rows)
+    total = ZERO
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = poly_const(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+@st.composite
+def matrices(draw):
+    """1x1 to 4x4 matrices with zero and constant entries, trailing
+    columns zero above a diagonal of 1, and mostly one exponent of at
+    least 40.  Without it, low-degree 4x4 products fill narrow fields."""
+    k = draw(st.integers(1, 4))
+    entries = polys() | st.integers(-3, 3).map(poly_const)
+    rows = [[draw(entries) for _ in range(k)] for _ in range(k)]
+    for j in range(k - draw(st.integers(0, k)), k):
+        for i in range(j):
+            rows[i][j] = ZERO
+        rows[j][j] = ONE
+    if draw(st.integers(0, 3)):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        big = poly_var(draw(st.sampled_from([X(1), XB(2), A(1)]))) ** draw(st.integers(40, 70))
+        rows[i][j] = rows[i][j] + big
+    return rows
+
+
+@settings(max_examples=150)
+@given(matrices())
+def test_determinant_methods_equal_leibniz(rows):
+    expected = _leibniz(rows)
+    assert poly_determinant(rows, method="cofactor") == expected
+    assert poly_determinant(rows, method="bareiss") == expected
+
+
+@pytest.mark.parametrize("e", [1, 40])
+def test_determinant_degree_is_the_sum_over_rows(e):
+    # det has x1^(4e): every row's largest degree counts, not just the largest row's
+    rows = [[x1 ** e if i == j else a1 for j in range(4)] for i in range(4)]
+    assert poly_determinant(rows, method="cofactor") == _leibniz(rows)
 
 
 # ---------------------------------------------------------------------------
