@@ -51,6 +51,7 @@ from .tableaux import (
     TabStats,
     diff_tableau_sum,
     enumerate_tableaux,
+    group_tableau_sum,
     so_even_tableau_sum,
     tab_stats,
     tableau_sum,

@@ -43,6 +43,7 @@ from .polyring import (
 from .tableaux import (
     InvalidShape,
     diff_tableau_sum,
+    group_tableau_sum,
     so_even_tableau_sum,
     tab_stats,
     tableau_sum,
@@ -127,7 +128,7 @@ def _method_character(group: Group, n: int, lam: tuple, method: str) -> Poly:
     """One character value by the named route, for any CLI group."""
     if method == "tableaux":
         try:
-            return weighted_sum(weighted_tableaux(group, n, lam))
+            return group_tableau_sum(group, n, lam)
         except InvalidShape:  # o-even-diff with lambda_n = 0: no tableau qualifies
             return ZERO
     spec = char_spec(group, n, lam)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence, Tuple
 
 __all__ = [
     "VarId",
@@ -482,15 +482,68 @@ class _Layout:
             out[v] = c
         return out
 
+    @classmethod
+    def for_products(cls, groups: Iterable[Iterable[Poly]]) -> Tuple["_Layout", list]:
+        """A layout for products that take one factor from each group, and
+        every group's factors packed under it, in order.
+
+        The degree bound is the sum over groups of the group's largest
+        factor degree: a product takes one factor from each of some of the
+        groups, so it, and any sum of such products, has total degree at
+        most the bound and no field overflows.
+        """
+        groups = [list(g) for g in groups]
+        codes: set = set()
+        bound = sum(max(_codes_and_degree(f, codes) for f in g) for g in groups)
+        layout = cls(codes, bound)
+        return layout, [[layout.pack_terms(f) for f in g] for g in groups]
+
+    @staticmethod
+    def mul_add(out: dict, a: dict, b: dict, scale: int = 1) -> None:
+        """Add scale * a * b into ``out``, each monomial product one int add.
+
+        Loops over ``a`` outside, so pass the shorter operand as ``a``.
+        Zero coefficients may stay in ``out``.
+        """
+        get = out.get
+        for m1, c1 in a.items():
+            c1 *= scale
+            for m2, c2 in b.items():
+                mm = m1 + m2
+                out[mm] = get(mm, 0) + c1 * c2
+
+    @classmethod
+    def product(cls, factors: Iterable[dict]) -> dict:
+        """The product of packed factors (the constant 1 for none)."""
+        acc = {0: 1}
+        for f in factors:
+            out: dict = {}
+            cls.mul_add(out, f, acc)
+            acc = out
+        return {m: c for m, c in acc.items() if c}
+
+    @staticmethod
+    def linear_combination(pairs: Iterable[Tuple[int, dict]]) -> dict:
+        """The sum of c * terms over the (c, terms) pairs, in one dict."""
+        out: dict = {}
+        get = out.get
+        for c, terms in pairs:
+            for m, v in terms.items():
+                out[m] = get(m, 0) + c * v
+        return out
+
     def to_poly(self, terms: dict) -> Poly:
-        """Unpack every term.  Monomials share their halves far more often
-        than they repeat whole, so each half is unpacked once and cached."""
+        """Unpack every term with a nonzero coefficient.  Monomials share
+        their halves far more often than they repeat whole, so each half is
+        unpacked once and cached."""
         cut, high, low = self.cut, self.high, (1 << self.cut) - 1
         unpack = self.unpack
         highs: dict = {}
         lows: dict = {}
         out = {}
         for v, c in terms.items():
+            if not c:
+                continue
             h = (v >> cut) & high
             mh = highs.get(h)
             if mh is None:
@@ -673,6 +726,11 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
     so by induction no monomial of the chain has a total degree above the
     cleared dividend's, which is at most D.  p is reduced here, so
     callers need not reduce it first.
+
+    On failure the DivisionNotExact message is the stepwise fold's: with
+    more than one divisor the fold is run to raise it (only on this
+    failure path), and the chain's own error is re-raised should the
+    fold succeed.
     """
     a = poly_reduce_inverses(p)
     divs = [poly_reduce_inverses(q) for q in divisors]
@@ -719,8 +777,17 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
     deg = max(_codes_and_degree(poly, codes) for poly in [a, *cleared])
     layout = _Layout(codes, deg)
     quot = layout.pack_terms(a)
-    for b in cleared:
-        quot = _divide_packed(quot, layout.pack_terms(b), layout)
+    try:
+        for b in cleared:
+            quot = _divide_packed(quot, layout.pack_terms(b), layout)
+    except DivisionNotExact:
+        if len(divs) > 1:
+            # The chain's message names a term in its own cleared
+            # coordinates; let the stepwise fold raise its own message.
+            q = p
+            for b in divs:
+                q = poly_exact_div_inverses(q, b)
+        raise
     out = layout.to_poly(quot)
     if comp:
         return _poly({_mono_shift_cancel(m, comp): cc for m, cc in out.terms.items()})
@@ -744,12 +811,12 @@ def _det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     A last column that is zero above a diagonal 1 is peeled first by a
     Laplace step (Jacobi-Trudi matrices of shapes with trailing zero parts
     end in such columns), so a triangular matrix packs nothing.  The rest
-    is packed once under a ``_Layout`` whose degree bound D is the sum
-    over rows of the row's largest entry degree; every product in the
-    expansion takes one entry from each of some set of rows, so it, and
-    every minor, has total degree at most D and no field overflows.
-    Products accumulate in place in one dict per minor, and the
-    determinant is unpacked once.
+    is packed once by ``_Layout.for_products``, one group per row, so the
+    degree bound D is the sum over rows of the row's largest entry
+    degree; every product in the expansion takes one entry from each of
+    some set of rows, so it, and every minor, has total degree at most D
+    and no field overflows.  Products accumulate in place in one dict per
+    minor (``_Layout.mul_add``), and the determinant is unpacked once.
     """
     k = len(rows)
     while k > 1 and rows[k - 1][k - 1] == ONE and not any(rows[i][k - 1] for i in range(k - 1)):
@@ -758,10 +825,7 @@ def _det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
         return ONE
     if k == 1:
         return rows[0][0]
-    codes: set = set()
-    bound = sum(max(_codes_and_degree(rows[i][j], codes) for j in range(k)) for i in range(k))
-    layout = _Layout(codes, bound)
-    packed = [[layout.pack_terms(rows[i][j]) for j in range(k)] for i in range(k)]
+    layout, packed = _Layout.for_products(row[:k] for row in rows[:k])
     memo: dict = {}
 
     def rec(cols: tuple) -> dict:
@@ -772,18 +836,11 @@ def _det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
         if cached is not None:
             return cached
         out: dict = {}
-        get = out.get
         for idx, c in enumerate(cols):
             entry = packed[r][c]
-            if not entry:
-                continue
-            sub = rec(cols[:idx] + cols[idx + 1:])
-            sign = -1 if idx % 2 else 1
-            for m1, c1 in entry.items():
-                c1 *= sign
-                for m2, c2 in sub.items():
-                    mm = m1 + m2
-                    out[mm] = get(mm, 0) + c1 * c2
+            if entry:
+                sub = rec(cols[:idx] + cols[idx + 1:])
+                layout.mul_add(out, entry, sub, -1 if idx % 2 else 1)
         out = {m: c for m, c in out.items() if c}
         memo[cols] = out
         return out

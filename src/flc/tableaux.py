@@ -22,19 +22,29 @@ sums over complete tableau sets reproduce the characters computed by the
 determinantal routes, with a multiplicity 2^zeta in the even-orthogonal
 case.  The even-orthogonal difference and plus/minus sums reuse the same
 tableau set with first-column restrictions and signs.  All of these are
-one sum, weighted_tableaux, with a coefficient rule per group.  Summed
-values are normalised with poly_reduce_inverses like every other
-character-level value; the per-tableau weight is the literal product of
-its cell factors.
+one sum, _packed_tableaux, with a coefficient rule per group.
+
+The sums run on packed exponents (polyring._Layout; Monagan and Pearce,
+CASC 2007).  Each call packs every factor _cell_weight gives a cell once,
+under one layout whose degree bound is the sum over cells of the largest
+factor degree.  Every cell factor is linear (x + a, xb + a, 1 - a, or a
+bare letter when the a-index is <= 0), so the bound is at most |lambda|,
+and no weight or sum of weights has a term of higher degree.  A weight
+is the product of its cells' packed factors, each monomial product one
+int add; coefficient times weight accumulates in one packed dict, which
+is unpacked once and normalised once with poly_reduce_inverses like
+every other character-level value.  weight() stays the literal Poly
+product of the cell factors, the oracle the tests hold the engine to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, List, Tuple
 
 from .characters import Group, make_partition, partition_length
-from .polyring import ONE, Poly, pa, poly_reduce_inverses, poly_sum, px, pxb
+from .polyring import ONE, Poly, _Layout, pa, poly_reduce_inverses, poly_sum, px, pxb
 
 __all__ = [
     "Entry",
@@ -47,6 +57,7 @@ __all__ = [
     "tab_stats",
     "weighted_tableaux",
     "weighted_sum",
+    "group_tableau_sum",
     "tableau_sum",
     "diff_tableau_sum",
     "so_even_tableau_sum",
@@ -132,40 +143,54 @@ def enumerate_tableaux(group: Group, n: int, lam_parts: Iterable[int]) -> List[T
     alphabet = _alphabet(Group.EO if group in _EO_FAMILY else group, n)
     eo_rules = group in _EO_FAMILY
     barred_rules = group is not Group.GL
-    grid: List[List[Entry]] = [[None] * w for w in shape]  # type: ignore[list-item]
+    # The grid holds int codes (2k for k, 2k+1 for k~, 2n+2 for 0); a row
+    # is mapped back to entries once, when its last cell is placed.
+    letters = [_code(e, n) for e in alphabet]
+    zero = _code(ZERO_ENTRY, n)
+    start = {code: idx for idx, code in enumerate(letters)}
+    entry_of: List[Entry] = [ZERO_ENTRY] * (zero + 1)
+    for e in alphabet:
+        entry_of[_code(e, n)] = e
+    entry = entry_of.__getitem__
+    codes: List[List[int]] = [[0] * w for w in shape]
+    rows: List[tuple] = [()] * len(shape)  # the entries of each completed row
     cells = [(i, j) for i, w in enumerate(shape) for j in range(w)]
     out: List[Tableau] = []
 
-    def admissible(i: int, j: int, e: Entry) -> bool:
-        code = _code(e, n)
-        if j and code < _code(grid[i][j - 1], n):
-            return False  # T1
-        if e.is_zero():
-            if any(c.is_zero() for c in grid[i][:j]):
+    def admissible(i: int, j: int, code: int) -> bool:
+        """T2-T6; fill offers only letters that satisfy T1."""
+        row = codes[i]
+        if code == zero:
+            if zero in row[:j]:
                 return False  # T5
         else:
-            if barred_rules and e.k < i + 1:
+            k = code >> 1
+            if barred_rules and k < i + 1:
                 return False  # T4
             if i:
-                above = grid[i - 1][j]
-                if above.is_zero() or _code(above, n) >= code:
+                above = codes[i - 1][j]
+                if above == zero or above >= code:
                     return False  # T2 + T3 (strict below a letter, never below 0)
-            if eo_rules and e.barred and e.k == i + 1:
-                if any(c == Entry(e.k) for c in grid[i][:j]):
-                    if i == 0 or grid[i - 1][j] != Entry(e.k):
+            if eo_rules and code & 1 and k == i + 1:
+                if 2 * k in row[:j]:
+                    if i == 0 or codes[i - 1][j] != 2 * k:
                         return False  # T6
         return True
 
     def fill(pos: int) -> None:
         if pos == len(cells):
-            out.append(Tableau(shape, tuple(tuple(row) for row in grid)))
+            out.append(Tableau(shape, tuple(rows)))
             return
         i, j = cells[pos]
-        for e in alphabet:
-            if admissible(i, j, e):
-                grid[i][j] = e
+        row = codes[i]
+        last = j == len(row) - 1
+        # T1: a cell's letters start at its left neighbour's.
+        for code in letters[start[row[j - 1]]:] if j else letters:
+            if admissible(i, j, code):
+                row[j] = code
+                if last:
+                    rows[i] = tuple(map(entry, row))
                 fill(pos + 1)
-        grid[i][j] = None  # type: ignore[assignment]
 
     if cells:
         fill(0)
@@ -242,10 +267,11 @@ def so_even_coefficient(t: Tableau, plus: bool) -> int:
     return (1 + sign) // 2 if plus else (1 - sign) // 2
 
 
-def weighted_tableaux(
+def _packed_tableaux(
     group: Group, n: int, lam_parts: Iterable[int]
-) -> Iterator[Tuple[Tableau, int, Poly]]:
-    """Yield (tableau, coefficient, weight) for every tableau in the group's sum.
+) -> Tuple[_Layout, Iterator[Tuple[Tableau, int, dict]]]:
+    """The engine: a layout and the (tableau, coefficient, packed weight)
+    triples of the group's sum, packed weights under that layout.
 
     The coefficient rules, the only place they are written down:
 
@@ -255,24 +281,57 @@ def weighted_tableaux(
                                  nonzero parts; otherwise there is no split
                                  and the plain o(2n) rule 2^zeta applies
 
-    Tableaux with coefficient 0 are left out.  For EO_DIFF with fewer than
-    n nonzero parts, iterating raises InvalidShape.  The triples are yielded,
-    not listed, so a sum never holds every weight at once.
+    Tableaux with coefficient 0 are left out.  Raises InvalidShape for
+    EO_DIFF with fewer than n nonzero parts.  Every factor _cell_weight
+    gives a cell is packed once, by _Layout.for_products with one group
+    of factors per cell, so the degree bound is the sum over cells of the
+    cell's largest factor degree, i.e. at most |lambda|; each weight
+    takes one factor per cell, so no term of a weight, or of a sum of
+    weights, exceeds it.
     """
     lam = make_partition(lam_parts, n)
     full = partition_length(lam) == n
     if group is Group.EO_DIFF and not full:
         raise InvalidShape(f"difference sum needs n={n} nonzero parts, got {lam}")
     split = full and group in (Group.SO_EVEN_PLUS, Group.SO_EVEN_MINUS)
-    for t in enumerate_tableaux(group, n, lam):
-        if group is Group.EO_DIFF:
-            c = (-1) ** _bar_count(t) if is_diff_tableau(t, n) else 0
-        elif split:
-            c = so_even_coefficient(t, group is Group.SO_EVEN_PLUS)
-        else:
-            c = 1 << tab_stats(t, group).zeta
-        if c:
-            yield t, c, weight(t, group, n)
+    tableaux = enumerate_tableaux(group, n, lam)
+    alphabet = _alphabet(Group.EO if group in _EO_FAMILY else group, n)
+    layout, packed = _Layout.for_products(
+        [_cell_weight(e, i, j, group, n) for e in alphabet]
+        for i, w in enumerate(lam, start=1)
+        for j in range(1, w + 1)
+    )
+    cells = [dict(zip(alphabet, factors)) for factors in packed]
+
+    def triples() -> Iterator[Tuple[Tableau, int, dict]]:
+        for t in tableaux:
+            if group is Group.EO_DIFF:
+                c = (-1) ** _bar_count(t) if is_diff_tableau(t, n) else 0
+            elif split:
+                c = so_even_coefficient(t, group is Group.SO_EVEN_PLUS)
+            else:
+                c = 1 << tab_stats(t, group).zeta
+            if c:
+                yield t, c, layout.product(
+                    cell[e] for cell, e in zip(cells, chain.from_iterable(t.rows))
+                )
+
+    return layout, triples()
+
+
+def weighted_tableaux(
+    group: Group, n: int, lam_parts: Iterable[int]
+) -> Iterator[Tuple[Tableau, int, Poly]]:
+    """Yield (tableau, coefficient, weight) for every tableau in the group's sum.
+
+    The engine's triples with each weight unpacked; see _packed_tableaux
+    for the coefficient rules.  For EO_DIFF with fewer than n nonzero
+    parts, iterating raises InvalidShape.  The triples are yielded, not
+    listed, so a caller never needs to hold every weight at once.
+    """
+    layout, triples = _packed_tableaux(group, n, lam_parts)
+    for t, c, w in triples:
+        yield t, c, layout.to_poly(w)
 
 
 def weighted_sum(triples: Iterable[Tuple[Tableau, int, Poly]]) -> Poly:
@@ -280,17 +339,30 @@ def weighted_sum(triples: Iterable[Tuple[Tableau, int, Poly]]) -> Poly:
     return poly_reduce_inverses(poly_sum(c * w for _, c, w in triples))
 
 
+def group_tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
+    """The weighted tableau sum of any of the seven groups.
+
+    The engine's packed weights are summed packed, then unpacked and
+    reduced once.  Raises InvalidShape for EO_DIFF with fewer than n
+    nonzero parts; SO_EVEN_PLUS/MINUS with fewer than n nonzero parts
+    get the plain 2^zeta sum.
+    """
+    layout, triples = _packed_tableaux(group, n, lam_parts)
+    total = layout.linear_combination((c, w) for _, c, w in triples)
+    return poly_reduce_inverses(layout.to_poly(total))
+
+
 def tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
     """Sum of 2^zeta * weight over the group's tableaux of shape lambda."""
     if group not in (Group.GL, Group.SP, Group.OO, Group.EO):
         raise ValueError(f"no plain tableau sum for group {group}")
-    return weighted_sum(weighted_tableaux(group, n, lam_parts))
+    return group_tableau_sum(group, n, lam_parts)
 
 
 def diff_tableau_sum(n: int, lam_parts: Iterable[int]) -> Poly:
     """Signed sum (-1)^bar * weight over the first-column-restricted
     even-orthogonal tableaux; the difference character o'."""
-    return weighted_sum(weighted_tableaux(Group.EO_DIFF, n, lam_parts))
+    return group_tableau_sum(Group.EO_DIFF, n, lam_parts)
 
 
 def so_even_tableau_sum(n: int, lam_parts: Iterable[int], plus: bool) -> Poly:
@@ -299,7 +371,7 @@ def so_even_tableau_sum(n: int, lam_parts: Iterable[int], plus: bool) -> Poly:
     if partition_length(lam) < n:
         raise InvalidShape(f"plus/minus split needs n={n} nonzero parts, got {lam}")
     group = Group.SO_EVEN_PLUS if plus else Group.SO_EVEN_MINUS
-    return weighted_sum(weighted_tableaux(group, n, lam))
+    return group_tableau_sum(group, n, lam)
 
 
 def tableau_to_text(t: Tableau) -> str:

@@ -22,10 +22,10 @@ _VARS = [X(1), X(2), XB(1), XB(2), A(1), A(2)]
 
 
 @st.composite
-def monomials(draw, variables=_VARS):
+def monomials(draw):
     # Large exponents too, so exact division sees wide packed fields.
     exps = st.integers(1, 2) | st.integers(3, 70)
-    pairs = draw(st.lists(st.tuples(st.sampled_from(variables), exps), max_size=3))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_VARS), exps), max_size=3))
     m = poly_const(1)
     for v, e in pairs:
         m = m * poly_var(v) ** e
@@ -33,13 +33,13 @@ def monomials(draw, variables=_VARS):
 
 
 @st.composite
-def polys(draw, variables=_VARS):
-    """Small random polynomials, by default over x1, x2, xb1, xb2, a1, a2."""
+def polys(draw):
+    """Small random polynomials over x1, x2, xb1, xb2, a1, a2."""
     n_terms = draw(st.integers(0, 4))
     p = ZERO
     for _ in range(n_terms):
         c = draw(st.integers(-3, 3))
-        p = p + poly_const(c) * draw(monomials(variables))
+        p = p + poly_const(c) * draw(monomials())
     return p
 
 

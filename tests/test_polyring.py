@@ -290,31 +290,32 @@ def test_exact_div_inverses_many_is_the_fold(f, qs):
     assert poly_exact_div_inverses_many(p, qs) == folded == red(f)
 
 
-_PLAIN = [X(1), X(2), A(1), A(2)]
-
-
 @settings(max_examples=100)
-@given(polys(), nonzero_polys(), polys(), polys(_PLAIN), polys(_PLAIN), st.integers(1, 3))
-def test_exact_div_inverses_many_fails_like_the_fold(f, q1, g, r2, r3, c):
-    # The message names leading terms of the operands after the barred
-    # letters are cleared.  The chain clears once for all divisors and the
-    # fold step by step; the two clearings agree when the divisors after
-    # the first are bar-free with a nonzero constant term.
-    q2, q3 = r2 + c, r3 + c
-    zero = {v: 0 for v in _PLAIN}
-    assume(eval_integer(q2, zero) and eval_integer(q3, zero))
-    assume(poly_reduce_inverses(q1))
+@given(polys(), nonzero_polys(), polys(), nonzero_polys(), nonzero_polys())
+def test_exact_div_inverses_many_fails_like_the_fold(f, q1, g, q2, q3):
+    # The first step is exact; a later one fails for most draws.
+    red = poly_reduce_inverses
+    assume(red(q1) and red(q2) and red(q3))
     p = f * q1 * g
-    step = poly_exact_div_inverses(p, q1)
     try:
-        poly_exact_div_inverses(step, q2)
+        folded = p
+        for q in (q1, q2, q3):
+            folded = poly_exact_div_inverses(folded, q)
     except DivisionNotExact as err:
-        folded = str(err)
+        message = str(err)
     else:
-        assume(False)  # the middle step happened to be exact
+        assume(False)  # every step happened to be exact
     with pytest.raises(DivisionNotExact) as chained:
         poly_exact_div_inverses_many(p, [q1, q2, q3])
-    assert str(chained.value) == folded
+    assert str(chained.value) == message
+
+
+def test_exact_div_inverses_many_names_the_folds_term():
+    # The chain clears barred letters once for all divisors, so its own
+    # leading term here would be x1, which is in no operand of the fold.
+    with pytest.raises(DivisionNotExact) as err:
+        poly_exact_div_inverses_many(ONE, [ONE, poly_const(2), x1])
+    assert str(err.value) == "remainder nonzero: leading term 1 is not divisible by 2"
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,16 @@ from flc.characters import (
     shapes,
     zero_a,
 )
-from flc.polyring import ONE, eval_integer, pa, poly_to_str, px, pxb
+from flc.polyring import (
+    ONE,
+    eval_integer,
+    pa,
+    poly_reduce_inverses,
+    poly_sum,
+    poly_to_str,
+    px,
+    pxb,
+)
 from flc.tableaux import (
     ZERO_ENTRY,
     Entry,
@@ -24,6 +33,7 @@ from flc.tableaux import (
     Tableau,
     diff_tableau_sum,
     enumerate_tableaux,
+    group_tableau_sum,
     is_diff_tableau,
     so_even_coefficient,
     so_even_tableau_sum,
@@ -32,6 +42,7 @@ from flc.tableaux import (
     tableau_to_json,
     tableau_to_text,
     weight,
+    weighted_tableaux,
 )
 
 import oracles
@@ -398,6 +409,77 @@ def test_diff_sum_matches_alternant_ratio(n):
         if len([p for p in lam if p]) < n:
             continue
         assert diff_tableau_sum(n, lam) == char_raw_diff(n, lam), lam
+
+
+# ---------------------------------------------------------------------------
+# the packed engine against the Poly oracle
+
+# A column taller than any row is wide raises one letter's exponent above
+# the longest row; (1, 1, 1, 1) at n = 4 does so for every group but
+# EO_DIFF, whose first column holds n distinct letters.
+_ENGINE_CASES = [(n, lam) for n in (1, 2, 3) for lam in shapes(n, 2)] + [(4, (1, 1, 1, 1))]
+_SO_EVEN = (Group.SO_EVEN_PLUS, Group.SO_EVEN_MINUS)
+
+
+def _library_sum(group, n, lam):
+    if group is Group.EO_DIFF:
+        return diff_tableau_sum(n, lam)
+    if group in _SO_EVEN:
+        return so_even_tableau_sum(n, lam, group is Group.SO_EVEN_PLUS)
+    return tableau_sum(group, n, lam)
+
+
+@pytest.mark.parametrize("group", list(Group))
+def test_packed_engine_matches_the_poly_oracle(group):
+    """Each packed weight, and each library sum, against weight(), the
+    literal product of the cell factors as Poly values."""
+    for n, lam in _ENGINE_CASES:
+        full = len([p for p in lam if p]) == n
+        if group is Group.EO_DIFF and not full:
+            with pytest.raises(InvalidShape):
+                next(weighted_tableaux(group, n, lam))
+            with pytest.raises(InvalidShape):
+                group_tableau_sum(group, n, lam)
+            with pytest.raises(InvalidShape):
+                _library_sum(group, n, lam)
+            continue
+        triples = list(weighted_tableaux(group, n, lam))
+        for t, _, w in triples:
+            assert w == weight(t, group, n), (lam, tableau_to_text(t))
+        expected = poly_reduce_inverses(poly_sum(c * weight(t, group, n) for t, c, _ in triples))
+        assert group_tableau_sum(group, n, lam) == expected, lam
+        if group in _SO_EVEN and not full:
+            continue  # no plus/minus split: only the plain 2^zeta sum above
+        assert _library_sum(group, n, lam) == expected, lam
+
+
+def test_injected_weight_fault_reaches_sp_and_so_even_sums(monkeypatch):
+    """Negative control: one skewed SP letter and one skewed even-orthogonal
+    letter must change the sums, right after the same sums were taken with
+    the true factors, so no factor may be kept from one call to the next."""
+    import flc.tableaux
+
+    lam = (2, 1)
+    sp = char_jacobi_trudi(char_spec(Group.SP, 2, lam))
+    eo = char_jacobi_trudi(char_spec(Group.EO, 2, lam))
+    plus = char_so_even(char_spec(Group.SO_EVEN_PLUS, 2, lam))
+    assert tableau_sum(Group.SP, 2, lam) == sp
+    assert tableau_sum(Group.EO, 2, lam) == eo
+    assert so_even_tableau_sum(2, lam, True) == plus
+    true_weight = flc.tableaux._cell_weight
+
+    def skewed(e, i, j, group, n):
+        # The factor of the cell to the right: the a-index moves up by one.
+        if (group is Group.SP and e == E(1, barred=True)) or (
+            group not in (Group.GL, Group.SP, Group.OO) and e == E(2)
+        ):
+            return true_weight(e, i, j + 1, group, n)
+        return true_weight(e, i, j, group, n)
+
+    monkeypatch.setattr(flc.tableaux, "_cell_weight", skewed)
+    assert tableau_sum(Group.SP, 2, lam) != sp
+    assert tableau_sum(Group.EO, 2, lam) != eo
+    assert so_even_tableau_sum(2, lam, True) != plus
 
 
 # ---------------------------------------------------------------------------
