@@ -204,21 +204,6 @@ def _denominator_factors(group: Group, n: int) -> list:
     raise ValueError(f"no denominator product for group {group}")
 
 
-def _alt_factors(group: Group, n: int) -> list:
-    """Product form of the one-pair-h denominator determinant.
-
-    Row-common one-pair factors are already inside the h entries, so only
-    the cross terms remain; for OO those live in the whole x-letters.
-    """
-    if group is Group.GL:
-        return _denominator_factors(Group.GL, n)
-    return [
-        px(i) + pxb(i) - px(j) - pxb(j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-    ]
-
-
 def weyl_denominator_product(group: Group, n: int) -> Poly:
     """The denominator alternant in product form (OO in the s-letters)."""
     prod = ONE
@@ -247,9 +232,11 @@ def _denominator_info(group: Group, n: int, route: str) -> tuple:
     if group is Group.EO:
         denom = poly_halve(denom)
     denom = poly_reduce_inverses(denom)
-    factors = tuple(
-        _denominator_factors(group, n) if route == "raw" else _alt_factors(group, n)
-    )
+    # The one-pair h entries already hold each row's own pair factor, so
+    # outside GL the alternant route divides only by the cross terms,
+    # which are EO's whole denominator (for OO in the x-letters too).
+    cross_only = route == "alternant" and group is not Group.GL
+    factors = tuple(_denominator_factors(Group.EO if cross_only else group, n))
     prod = ONE
     for f in factors:
         prod = prod * f

@@ -107,6 +107,8 @@ def _parse_group(name: str) -> Group:
 
 
 def _parse_lambda(text: str, rank: int) -> tuple:
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
     try:
         parts = [int(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
@@ -381,6 +383,11 @@ def _verify_checks(
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    # Out of range, no shape would be checked and every check would pass.
+    if args.max_rank < 1:
+        raise ValueError("--max-rank must be >= 1")
+    if args.max_part < 0:
+        raise ValueError("--max-part must be >= 0")
     if args.groups:
         groups = {_parse_group(g.strip()) for g in args.groups.split(",")}
     else:

@@ -14,6 +14,22 @@ multiplied in every case by prod_{j=1}^{L+m-1} (1 + t*a_{j+shift}), where
 L is the number of listed variables (GL) or pairs (the rest).  A shifted
 a-index <= 0 stands for the zero value, so its factor degenerates to 1.
 
+``h`` keeps the coefficients c_0..c_m of the product in one list.  It
+starts from a seed and multiplies in one factor at a time, in place:
+
+    seed             c = 1, or 1 + t (OO), or 1 - t^2 (EO, two or more
+                     pairs), or c_k = x_1^k +/- xb_1^k for the
+                     distinguished EO/EOD pair (so c_0 = 2 for the
+                     one-pair EO series and 0 for EOD)
+    1/(1-t*v)        c_k += v*c_{k-1}      k = 1..m, ascending
+    1 + t*a          c_k += a*c_{k-1}      k = m..1, descending
+
+Ascending, c_{k-1} already holds the new coefficient, which sums the
+geometric tail; descending, it still holds the old one.
+
+``flc.series`` builds the same products as truncated series and is the
+reference h is tested against.
+
 Conventions: h_m = 0 for m < 0 and h_0 = 1, except the EOD kind where
 h_m = 0 for all m <= 0.
 """
@@ -38,16 +54,6 @@ from .polyring import (
     pxb,
     ps,
     psb,
-)
-from .series import (
-    series_add,
-    series_coeff,
-    series_from_polys,
-    series_geometric,
-    series_linear,
-    series_mul,
-    series_one,
-    series_sub,
 )
 
 __all__ = [
@@ -130,7 +136,8 @@ def factorial_power(v, m: int, shift: int = 0) -> Poly:
 @lru_cache(maxsize=None)
 def h(spec: VarSpec, m: int) -> Poly:
     """The factorial h_m for the given variable spec."""
-    if spec.kind is HKind.EOD:
+    kind = spec.kind
+    if kind is HKind.EOD:
         if m <= 0:
             return ZERO
     else:
@@ -138,48 +145,36 @@ def h(spec: VarSpec, m: int) -> Poly:
             return ZERO
         if m == 0:
             return ONE
-    cap = m
-    factors = []
-    if spec.kind is HKind.GL:
-        factors.extend(series_geometric(poly_var(v), cap) for v in spec.singles)
-    elif spec.kind is HKind.SP:
-        for i in spec.pairs:
-            factors.append(series_geometric(px(i), cap))
-            factors.append(series_geometric(pxb(i), cap))
-    elif spec.kind is HKind.OO:
-        factors.append(series_linear(ONE, cap))
-        for i in spec.pairs:
-            factors.append(series_geometric(px(i), cap))
-            factors.append(series_geometric(pxb(i), cap))
-    elif spec.kind is HKind.EO:
-        if len(spec.pairs) >= 2:
-            factors.append(series_from_polys(cap, [ONE, ZERO, -ONE]))
-            for i in spec.pairs:
-                factors.append(series_geometric(px(i), cap))
-                factors.append(series_geometric(pxb(i), cap))
+    pairs = spec.pairs
+    if kind is HKind.EOD or (kind is HKind.EO and len(pairs) == 1):
+        # The distinguished pair's two geometric series, added (EO) or
+        # subtracted (EOD) rather than multiplied.
+        x, xb = px(pairs[0]), pxb(pairs[0])
+        if kind is HKind.EOD:
+            c = [x ** k - xb ** k for k in range(m + 1)]
         else:
-            # Single pair: the two geometric series are added, not multiplied.
-            # (The defining series also subtracts 1 at t^0, which only matters
-            # for m = 0 and that case returned 1 above.)
-            i = spec.pairs[0]
-            factors.append(series_add(series_geometric(px(i), cap), series_geometric(pxb(i), cap)))
-    else:  # EOD
-        first = spec.pairs[0]
-        factors.append(series_sub(series_geometric(px(first), cap), series_geometric(pxb(first), cap)))
-        for i in spec.pairs[1:]:
-            factors.append(series_geometric(px(i), cap))
-            factors.append(series_geometric(pxb(i), cap))
+            c = [x ** k + xb ** k for k in range(m + 1)]
+        pairs = pairs[1:]
+    else:
+        # OO's 1 + t and EO's 1 - t^2 are the seed itself.
+        seed = {HKind.OO: [ONE, ONE], HKind.EO: [ONE, ZERO, -ONE]}.get(kind, [ONE])
+        c = (seed + [ZERO] * m)[: m + 1]
+    if kind is HKind.GL:
+        geometric = [poly_var(v) for v in spec.singles]
+    else:
+        geometric = [v for i in pairs for v in (px(i), pxb(i))]
+    for v in geometric:
+        for k in range(1, m + 1):
+            c[k] = c[k] + v * c[k - 1]
     for j in range(1, spec.width() + m):
         aj = pa(j + spec.shift)
         if aj:
-            factors.append(series_linear(aj, cap))
-    prod = series_one(cap)
-    for f in factors:
-        prod = series_mul(prod, f)
+            for k in range(m, 0, -1):
+                c[k] = c[k] + aj * c[k - 1]
     # Values are normalised so that matched x_i*xb_i (reciprocal) pairs
     # never survive in a monomial; every consumer compares h's, and the
     # determinant/recurrence identities they enter hold modulo that pairing.
-    return poly_reduce_inverses(series_coeff(prod, m))
+    return poly_reduce_inverses(c[m])
 
 
 def h_closed_one_pair(kind: HKind, i: int, m: int, shift: int = 0) -> Poly:

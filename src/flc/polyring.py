@@ -848,59 +848,22 @@ def _det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     return layout.to_poly(rec(tuple(range(k))))
 
 
-def _det_bareiss(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Fraction-free Gaussian elimination; every division is exact."""
-    k = len(rows)
-    if k == 0:
-        return ONE
-    m = [list(row) for row in rows]
-    sign = 1
-    prev = ONE
-    for i in range(k - 1):
-        if not m[i][i]:
-            for p in range(i + 1, k):
-                if m[p][i]:
-                    m[i], m[p] = m[p], m[i]
-                    sign = -sign
-                    break
-            else:
-                return ZERO
-        for r in range(i + 1, k):
-            for c in range(i + 1, k):
-                num = m[i][i] * m[r][c] - m[r][i] * m[i][c]
-                m[r][c] = num if i == 0 else poly_exact_div(num, prev)
-            m[r][i] = ZERO
-        prev = m[i][i]
-    det = m[k - 1][k - 1]
-    return -det if sign < 0 else det
+def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
+    """Determinant of a square matrix of polynomials, by memoised cofactor
+    expansion at every size (see ``_det_cofactor``).
 
-
-def poly_determinant(rows: Sequence[Sequence[Poly]], method: str | None = None) -> Poly:
-    """Determinant of a square matrix of polynomials.
-
-    Small matrices (up to 5x5) go through memoised cofactor expansion;
-    larger ones use fraction-free Bareiss elimination.  ``method`` can force
-    ``"cofactor"`` or ``"bareiss"``.
-
-    The cofactor expansion runs on packed exponents under one layout whose
-    degree bound is the sum over rows of each row's largest entry degree.
-    Every term of the determinant, of every minor and of every product
-    formed on the way is a product of at most one entry per row, so its
-    total degree stays within that bound and no packed field overflows.
-    Bareiss works on Poly values and divides with poly_exact_div, whose
-    own layout covers each division.
+    The expansion runs on packed exponents under one layout whose degree
+    bound is the sum over rows of each row's largest entry degree.  Every
+    term of the determinant, of every minor and of every product formed
+    on the way is a product of at most one entry per row, so its total
+    degree stays within that bound and no packed field overflows.  The
+    memo holds one minor per column subset, at most 2^k of them.
     """
     k = len(rows)
     for row in rows:
         if len(row) != k:
             raise NonSquare(f"matrix is {k} rows but a row has {len(row)} entries")
-    if method is None:
-        method = "cofactor" if k <= 5 else "bareiss"
-    if method == "cofactor":
-        return _det_cofactor(rows)
-    if method == "bareiss":
-        return _det_bareiss(rows)
-    raise ValueError(f"unknown determinant method {method!r}")
+    return _det_cofactor(rows)
 
 
 def poly_substitute(p: Poly, mapping: Mapping[VarId, "Poly | int"]) -> Poly:

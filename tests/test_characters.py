@@ -21,6 +21,7 @@ from flc.characters import (
     zero_a,
 )
 from flc.hfuncs import factorial_power
+from flc.tableaux import tableau_sum
 from flc.polyring import (
     ONE,
     X,
@@ -139,6 +140,22 @@ def test_three_routes_agree_rank3_spot(group):
         jt = char_jacobi_trudi(spec)
         assert char_raw(spec) == jt, lam
         assert char_alternant(spec) == jt, lam
+
+
+@pytest.mark.parametrize(
+    "group, lam",
+    [
+        (Group.GL, (2, 1, 1)),
+        (Group.SP, (1, 1, 1, 1, 1, 1)),
+        (Group.OO, (1, 1)),
+        (Group.EO, (1, 1)),
+    ],
+)
+def test_jacobi_trudi_equals_tableau_sum_rank6(group, lam):
+    # 6x6 Jacobi-Trudi determinants, larger than any other test reaches;
+    # the cofactor expansion must stay fast past 5x5.
+    spec = char_spec(group, 6, make_partition(lam, 6))
+    assert char_jacobi_trudi(spec) == tableau_sum(group, 6, spec.lam)
 
 
 # ---------------------------------------------------------------------------

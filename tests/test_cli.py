@@ -270,6 +270,14 @@ def test_overlong_lambda_exits_one(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["char", "tableaux", "dim"])
+def test_rank_zero_exits_one(capsys, command):
+    code, out, err = run_cli(capsys, command, "--group", "gl", "--rank", "0", "--lambda", ",")
+    assert code == 1
+    assert out == ""
+    assert "error: rank must be >= 1" in err
+
+
 def test_bad_eval_pair_exits_one(capsys):
     code, _, err = run_cli(
         capsys, "char", "--group", "gl", "--rank", "1", "--lambda", "1", "--eval", "x1"
@@ -289,6 +297,22 @@ def test_verify_small_range_passes(capsys):
     assert lines[0] == "PASS route-agreement[gl]"
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert lines[-1].startswith("all ") and lines[-1].endswith("checks passed")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--max-rank", "0"], "--max-rank must be >= 1"),
+        (["--max-rank", "-2", "--max-part", "-1"], "--max-rank must be >= 1"),
+        (["--max-rank", "1", "--max-part", "-1"], "--max-part must be >= 0"),
+    ],
+)
+def test_verify_rejects_empty_range(capsys, argv, message):
+    # Such a range checks no shape, so "all checks passed" would be vacuous.
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert f"error: {message}" in err
 
 
 def test_verify_group_filter(capsys):

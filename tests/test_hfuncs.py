@@ -12,8 +12,19 @@ from flc.polyring import (
     pa,
     poly_reduce_inverses,
     poly_substitute,
+    poly_var,
     px,
     pxb,
+)
+from flc.series import (
+    series_add,
+    series_coeff,
+    series_from_polys,
+    series_geometric,
+    series_linear,
+    series_mul,
+    series_one,
+    series_sub,
 )
 
 red = poly_reduce_inverses
@@ -121,6 +132,58 @@ def test_closed_respects_shift(kind):
         else pair_spec(kind, 1, shift=2)
     )
     assert h_closed_one_pair(kind, 1, 3, shift=2) == h(one_pair, 3)
+
+
+# ---------------------------------------------------------------------------
+# differential: h against its generating series, built with flc.series
+
+
+def _series_h(spec, m):
+    """h_m read off the defining product of truncated series (hfuncs docstring)."""
+    if m < 0 or (m == 0 and spec.kind is HKind.EOD):
+        return ZERO
+    if m == 0:
+        return ONE
+    kind, pairs = spec.kind, spec.pairs
+
+    def geo(v):
+        return series_geometric(v, m)
+
+    if kind is HKind.GL:
+        factors = [geo(poly_var(v)) for v in spec.singles]
+    else:
+        factors = []
+        if kind is HKind.EOD or (kind is HKind.EO and len(pairs) == 1):
+            join = series_sub if kind is HKind.EOD else series_add
+            factors.append(join(geo(px(pairs[0])), geo(pxb(pairs[0]))))
+            pairs = pairs[1:]
+        elif kind is HKind.OO:
+            factors.append(series_linear(ONE, m))
+        elif kind is HKind.EO:
+            factors.append(series_from_polys(m, [ONE, ZERO, -ONE]))
+        factors.extend(geo(v) for i in pairs for v in (px(i), pxb(i)))
+    factors.extend(series_linear(pa(j + spec.shift), m) for j in range(1, spec.width() + m))
+    prod = series_one(m)
+    for f in factors:
+        prod = series_mul(prod, f)
+    return poly_reduce_inverses(series_coeff(prod, m))
+
+
+# Widths 1..4: unordered pairs, and GL singles that mix in barred letters.
+_FLAGS = [(1,), (2, 1), (1, 2, 3), (3, 1, 4, 2)]
+_SINGLES = [(X(1),), (X(1), XB(1)), (XB(2), X(1), X(3)), (X(1), XB(3), X(2), XB(1))]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("width", (1, 2, 3, 4))
+@pytest.mark.parametrize("shift", (-2, 0, 1))
+def test_h_equals_series_product(kind, width, shift):
+    if kind is HKind.GL:
+        spec = VarSpec(kind, singles=_SINGLES[width - 1], shift=shift)
+    else:
+        spec = VarSpec(kind, pairs=_FLAGS[width - 1], shift=shift)
+    for m in range(-1, 10 - width):  # up to m = 7 on two pairs, 5 on four
+        assert h(spec, m) == _series_h(spec, m), m
 
 
 # ---------------------------------------------------------------------------

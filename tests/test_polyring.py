@@ -340,11 +340,9 @@ def _demo_matrix():
     ]
 
 
-def test_determinant_cofactor_equals_bareiss():
+def test_determinant_equals_leibniz():
     m = _demo_matrix()
-    assert poly_determinant(m, method="cofactor") == poly_determinant(
-        m, method="bareiss"
-    )
+    assert poly_determinant(m) == _leibniz(m)
 
 
 def test_determinant_row_scaling():
@@ -403,17 +401,15 @@ def matrices(draw):
 
 @settings(max_examples=150)
 @given(matrices())
-def test_determinant_methods_equal_leibniz(rows):
-    expected = _leibniz(rows)
-    assert poly_determinant(rows, method="cofactor") == expected
-    assert poly_determinant(rows, method="bareiss") == expected
+def test_determinant_equals_leibniz_on_random_matrices(rows):
+    assert poly_determinant(rows) == _leibniz(rows)
 
 
 @pytest.mark.parametrize("e", [1, 40])
 def test_determinant_degree_is_the_sum_over_rows(e):
     # det has x1^(4e): every row's largest degree counts, not just the largest row's
     rows = [[x1 ** e if i == j else a1 for j in range(4)] for i in range(4)]
-    assert poly_determinant(rows, method="cofactor") == _leibniz(rows)
+    assert poly_determinant(rows) == _leibniz(rows)
 
 
 # ---------------------------------------------------------------------------
