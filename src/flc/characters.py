@@ -27,11 +27,13 @@ halved always.
 The barred letters are reciprocals of the plain ones, and for two or more
 pairs the alternant quotients only exist granting x_i*xb_i = 1 (likewise
 s_i*sb_i = 1): the denominators do not divide the numerators in the free
-ring.  Every character returned here is therefore normalised to the
-canonical form with no matched reciprocal pair inside a monomial
-(``poly_reduce_inverses``), and the two ratio routes divide with
-``poly_exact_div_inverses``.  All routes produce that same normal form,
-which is what the cross-route equality tests compare.
+ring.  Every character returned here is therefore in the canonical
+form with no matched reciprocal pair inside a monomial
+(``poly_reduce_inverses``): the determinants are expanded on the paired
+packed layout, which cancels x_i*xb_i inside each monomial product, and
+the two ratio routes divide with ``poly_exact_div_inverses_many``.  All
+routes produce that same normal form, which is what the cross-route
+equality tests compare.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterable, List, Sequence
 
-from .hfuncs import HKind, VarSpec, factorial_power, h
+from .hfuncs import _CACHE_SIZE, HKind, VarSpec, factorial_power, h
 from .polyring import (
     ONE,
     ZERO,
@@ -50,8 +52,8 @@ from .polyring import (
     X,
     XB,
     eval_integer,
+    _det_cofactor,
     map_s_to_x,
-    poly_determinant,
     poly_exact_div_inverses_many,
     poly_halve,
     poly_reduce_inverses,
@@ -147,7 +149,7 @@ def char_spec(group: Group, rank: int, parts: Iterable[int]) -> CharSpec:
     return CharSpec(group, rank, make_partition(parts, rank))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _raw_entry(group: Group, i: int, m: int) -> Poly:
     if group is Group.GL:
         return factorial_power(X(i), m)
@@ -161,7 +163,7 @@ def _raw_entry(group: Group, i: int, m: int) -> Poly:
     raise ValueError(f"no raw alternant for group {group}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _alt_entry(group: Group, i: int, m: int) -> Poly:
     if group is Group.GL:
         return h(VarSpec(HKind.GL, singles=(X(i),)), m)
@@ -215,7 +217,7 @@ def weyl_denominator_product(group: Group, n: int) -> Poly:
 _ENTRY_FN = {"raw": _raw_entry, "alternant": _alt_entry}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _denominator_info(group: Group, n: int, route: str) -> tuple:
     """Product-form factors of the denominator, and whether they match it.
 
@@ -226,12 +228,11 @@ def _denominator_info(group: Group, n: int, route: str) -> tuple:
     """
     entry = _ENTRY_FN[route]
     exps_den = [n - (j + 1) for j in range(n)]
-    denom = poly_determinant(
-        [[entry(group, i, mj) for mj in exps_den] for i in range(1, n + 1)]
+    denom = _det_cofactor(
+        [[entry(group, i, mj) for mj in exps_den] for i in range(1, n + 1)], paired=True
     )
     if group is Group.EO:
         denom = poly_halve(denom)
-    denom = poly_reduce_inverses(denom)
     # The one-pair h entries already hold each row's own pair factor, so
     # outside GL the alternant route divides only by the cross terms,
     # which are EO's whole denominator (for OO in the x-letters too).
@@ -267,8 +268,8 @@ def _ratio_character(spec: CharSpec, route: str) -> Poly:
         raise ValueError(f"no alternant-ratio route for group {group}")
     entry = _ENTRY_FN[route]
     exps_num = [lam[j] + n - (j + 1) for j in range(n)]
-    numer = poly_determinant(
-        [[entry(group, i, mj) for mj in exps_num] for i in range(1, n + 1)]
+    numer = _det_cofactor(
+        [[entry(group, i, mj) for mj in exps_num] for i in range(1, n + 1)], paired=True
     )
     if group is Group.EO and lam[n - 1] == 0:
         numer = poly_halve(numer)
@@ -308,7 +309,7 @@ def char_jacobi_trudi(spec: CharSpec) -> Poly:
     for i in range(1, n + 1):
         vs = _flag_spec(kind, i, n)
         rows.append([h(vs, lam[j - 1] - j + i) for j in range(1, n + 1)])
-    return poly_reduce_inverses(poly_determinant(rows))
+    return _det_cofactor(rows, paired=True)
 
 
 def char_raw_diff(n: int, lam_parts: Iterable[int]) -> Poly:
@@ -321,11 +322,12 @@ def char_raw_diff(n: int, lam_parts: Iterable[int]) -> Poly:
     """
     lam = make_partition(lam_parts, n)
     exps_num = [lam[j] + n - (j + 1) for j in range(n)]
-    numer = poly_determinant(
+    numer = _det_cofactor(
         [
             [factorial_power(X(i), m) - factorial_power(XB(i), m) for m in exps_num]
             for i in range(1, n + 1)
-        ]
+        ],
+        paired=True,
     )
     if not numer:
         return ZERO

@@ -66,6 +66,13 @@ __all__ = [
 ]
 
 
+# Bound of every lru_cache here and in characters.  A pass over the
+# rank <= 3 grids fills at most 128 entries of any of them, so the bound
+# only keeps a long-running process that visits many shapes from growing
+# without limit.
+_CACHE_SIZE = 4096
+
+
 class HKind(Enum):
     GL = "gl"
     SP = "sp"
@@ -114,7 +121,7 @@ def gl_vars(*indices: int) -> tuple:
     return tuple(X(i) for i in indices)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _fp_cached(base: Poly, m: int, shift: int) -> Poly:
     if m == 0:
         return ONE
@@ -133,7 +140,7 @@ def factorial_power(v, m: int, shift: int = 0) -> Poly:
     return _fp_cached(base, m, shift)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def h(spec: VarSpec, m: int) -> Poly:
     """The factorial h_m for the given variable spec."""
     kind = spec.kind

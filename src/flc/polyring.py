@@ -429,61 +429,109 @@ class _Layout:
     """A packed-exponent layout shared by every step of one computation.
 
     After Monagan and Pearce, "Polynomial division using dynamic arrays,
-    heaps, and packed exponent vectors" (CASC 2007): the variable codes,
-    in ascending order, fill fields from the most significant down, and
-    the total degree takes one field above all of them.  A monomial is
-    then one int whose order is exactly the graded-lex order, and
-    multiplying two monomials adds their ints.
+    heaps, and packed exponent vectors" (CASC 2007): the fields, in
+    ascending code order, fill the int from the most significant down,
+    and the total degree takes one field above all of them.  Multiplying
+    two monomials adds their ints.
 
-    Every field is ``degree.bit_length() + 1`` bits wide.  Its low bits
-    hold any value up to ``degree`` and its top bit is a guard bit, so
-    the layout is sound for every monomial whose total degree is at most
-    ``degree``: then each exponent, and the degree field itself, is at
-    most ``degree`` too, and a sum of two monomials that stays within the
-    bound carries out of no field.  Each caller states why its monomials
-    stay within the bound it passes.  A difference m - t is a monomial
-    exactly when it sets no bit of ``guard``: a field that goes below
-    zero borrows into its own guard bit, and a total degree below zero
-    makes the int negative, which sets the guard bit of the degree field
-    (|m - t| < 2^(that bit), because t's degree is at most ``degree``).
+    A layout has one of two modes, chosen by what its caller computes:
+
+    formal
+        One field per letter, so x_i and xb_i are independent.  Public
+        ``poly_determinant`` and ``poly_exact_div`` and the listed
+        tableau weights (``weighted_tableaux``) use it: they work in the
+        free ring, where x1*xb1 is a monomial of its own.
+    paired
+        One field per inverse pair (x_i/xb_i, s_i/sb_i) and one per
+        a-letter.  xb_i packs as minus the unit of x_i, degree field
+        included, so a field holds the net exponent e(x_i) - e(xb_i) and
+        x_i*xb_i cancels inside the add that multiplies two monomials.
+        Packing adds colliding terms, so packing is the reduction of
+        ``poly_reduce_inverses``, and every product and sum formed on the
+        ints is already reduced.  The routes' determinants
+        (``_det_cofactor(rows, paired=True)``), ``group_tableau_sum`` and
+        the division chain of ``poly_exact_div_inverses_many`` use it.
+
+    Every field is ``degree.bit_length() + 1`` bits wide.  A monomial is
+    the int sum of e_k * 2^(shift of field k), with a signed digit e_k in
+    a paired layout.  Unpacking adds a constant bias of half = 2^(width-1)
+    per field; when every |e_k| <= ``degree`` < half, each field of the
+    biased int holds e_k + half, in [1, 2*half - 1], with no borrow or
+    carry between fields, and reading it back and subtracting half gives
+    e_k.  A formal layout has bias 0 and only non-negative digits.
+
+    The bound holds for every monomial whose total degree is at most
+    ``degree``: then each exponent, each net exponent, and the degree
+    field are at most ``degree`` in absolute value.  Each caller states
+    why its monomials stay within the bound it passes.
+
+    For bar-free monomials (every digit >= 0) both modes give the same
+    int as the graded packing of the plain letters, and its order is
+    exactly the graded-lex order.  Division (``_divide_packed``) works
+    on such ints only.  Its guard test: every field's low bits hold any
+    value up to ``degree`` and its top bit is a guard bit; a difference
+    m - t is a monomial exactly when it sets no bit of ``guard``: a field
+    that goes below zero borrows into its own guard bit, and a total
+    degree below zero makes the int negative, which sets the guard bit
+    of the degree field (|m - t| < 2^(that bit), because t's degree is
+    at most ``degree``).
     """
 
-    __slots__ = ("shifts", "unit", "guard", "field", "cut", "high")
+    __slots__ = ("shifts", "unit", "guard", "field", "half", "bias", "cut", "high")
 
-    def __init__(self, codes: Iterable[int], degree: int):
+    def __init__(self, codes: Iterable[int], degree: int, paired: bool = False):
+        if paired:
+            codes = {code - code % 2 if code < _A_NEG_LOW else code for code in codes}
         codes = sorted(codes)
         width = degree.bit_length() + 1
         top = len(codes) * width
         self.shifts = [(code, top - (k + 1) * width) for k, code in enumerate(codes)]
         # Adding e * unit[code] raises that exponent and the degree field by e.
         self.unit = {code: (1 << sh) | (1 << top) for code, sh in self.shifts}
-        self.guard = sum(1 << (k * width + width - 1) for k in range(len(codes) + 1))
+        if paired:
+            for code, _ in self.shifts:
+                if code < _A_NEG_LOW:
+                    self.unit[code + 1] = -self.unit[code]
+        fields = range(len(codes) + 1)
+        self.guard = sum(1 << (k * width + width - 1) for k in fields)
         self.field = (1 << width) - 1
+        self.half = (1 << (width - 1)) if paired else 0
+        self.bias = sum(self.half << (k * width) for k in fields)
         # to_poly splits the variable fields into a high and a low half.
         self.cut = len(codes) // 2 * width
         self.high = (1 << (top - self.cut)) - 1
 
-    def unpack(self, v: int) -> Mono:
-        field = self.field
+    def _digits(self, u: int, shifts) -> Mono:
+        """The monomial of the fields ``shifts`` of a biased int."""
+        field, half = self.field, self.half
         out = []
-        for code, sh in self.shifts:
-            e = (v >> sh) & field
-            if e:
+        for code, sh in shifts:
+            e = ((u >> sh) & field) - half
+            if e > 0:
                 out.append((code, e))
+            elif e:
+                out.append((code + 1, -e))
         return tuple(out)
 
+    def unpack(self, v: int) -> Mono:
+        return self._digits(v + self.bias, self.shifts)
+
     def pack_terms(self, p: Poly) -> dict:
+        """p's terms packed; colliding monomials (paired layouts) add up."""
         unit = self.unit
-        out = {}
+        out: dict = {}
+        get = out.get
         for m, c in p.terms.items():
             v = 0
             for code, e in m:
                 v += e * unit[code]
-            out[v] = c
+            out[v] = get(v, 0) + c
+        if len(out) < len(p.terms):
+            return {v: c for v, c in out.items() if c}
         return out
 
     @classmethod
-    def for_products(cls, groups: Iterable[Iterable[Poly]]) -> Tuple["_Layout", list]:
+    def for_products(cls, groups: Iterable[Iterable[Poly]], paired: bool = False) -> Tuple["_Layout", list]:
         """A layout for products that take one factor from each group, and
         every group's factors packed under it, in order.
 
@@ -495,7 +543,7 @@ class _Layout:
         groups = [list(g) for g in groups]
         codes: set = set()
         bound = sum(max(_codes_and_degree(f, codes) for f in g) for g in groups)
-        layout = cls(codes, bound)
+        layout = cls(codes, bound, paired)
         return layout, [[layout.pack_terms(f) for f in g] for g in groups]
 
     @staticmethod
@@ -532,26 +580,41 @@ class _Layout:
                 out[m] = get(m, 0) + c * v
         return out
 
-    def to_poly(self, terms: dict) -> Poly:
-        """Unpack every term with a nonzero coefficient.  Monomials share
-        their halves far more often than they repeat whole, so each half is
+    def lowest(self, terms: dict) -> dict:
+        """Per inverse-pair field of a paired layout, the least net
+        exponent among the packed terms."""
+        bias, field, half = self.bias, self.field, self.half
+        return {
+            code: min(((v + bias) >> sh) & field for v in terms) - half
+            for code, sh in self.shifts
+            if code < _A_NEG_LOW
+        }
+
+    def to_poly(self, terms: dict, offset: int = 0) -> Poly:
+        """Unpack every term with a nonzero coefficient, each monomial
+        first multiplied by the packed ``offset``.  Monomials share their
+        halves far more often than they repeat whole, so each half is
         unpacked once and cached."""
         cut, high, low = self.cut, self.high, (1 << self.cut) - 1
-        unpack = self.unpack
+        digits = self._digits
+        above = [f for f in self.shifts if f[1] >= cut]
+        below = [f for f in self.shifts if f[1] < cut]
+        offset += self.bias
         highs: dict = {}
         lows: dict = {}
         out = {}
         for v, c in terms.items():
             if not c:
                 continue
-            h = (v >> cut) & high
+            u = v + offset
+            h = (u >> cut) & high
             mh = highs.get(h)
             if mh is None:
-                mh = highs[h] = unpack(h << cut)
-            lo = v & low
+                mh = highs[h] = digits(h << cut, above)
+            lo = u & low
             ml = lows.get(lo)
             if ml is None:
-                ml = lows[lo] = unpack(lo)
+                ml = lows[lo] = digits(lo, below)
             out[mh + ml] = c
         return _poly(out)
 
@@ -657,49 +720,16 @@ def poly_reduce_inverses(p: Poly) -> Poly:
     return _poly(out)
 
 
-def _mono_shift_cancel(m: Mono, shifts: Mapping[int, int]) -> Mono:
-    """Multiply a reduced monomial by plain^k per (even code -> k) entry.
-
-    Negative k multiplies by the barred partner instead; the product is
-    cancelled on the fly, so the output monomial is again reduced.
-    """
-    exps = dict(m)
-    for code, k in shifts.items():
-        e = exps.pop(code, 0) - exps.pop(code + 1, 0) + k
-        if e > 0:
-            exps[code] = e
-        elif e < 0:
-            exps[code + 1] = -e
-    return tuple(sorted(kv for kv in exps.items() if kv[1]))
-
-
-def _inverse_stats(p: Poly, bases) -> dict:
-    """Per even code: [max barred exponent, min (plain - barred) exponent]."""
-    stats = {c: [0, 0] for c in bases}
-    first = True
-    for m in p.terms:
-        exps = dict(m)
-        for c in bases:
-            f = exps.get(c + 1, 0)
-            v = exps.get(c, 0) - f
-            st = stats[c]
-            if f > st[0]:
-                st[0] = f
-            if first or v < st[1]:
-                st[1] = v
-        first = False
-    return stats
-
-
 def poly_exact_div_inverses(p: Poly, q: Poly) -> Poly:
     """Exact division treating barred letters as formal reciprocals.
 
-    Both operands are normalised with poly_reduce_inverses; the barred
-    letters are then cleared by multiplying through with plain-letter
-    powers (legal since a matched pair is 1), the bar-free polynomials are
-    divided exactly, and the compensating power is folded back in.  The
-    quotient is returned in reduced form.  Raises DivisionNotExact when no
-    quotient exists even granting the inverse relation.
+    Both operands are reduced modulo the pairing (see
+    ``poly_reduce_inverses``); the barred letters are then cleared by
+    multiplying through with plain-letter powers (legal since a matched
+    pair is 1), the bar-free polynomials are divided exactly, and the
+    compensating power is folded back in.  The quotient is returned in
+    reduced form.  Raises DivisionNotExact when no quotient exists even
+    granting the inverse relation.
     """
     return poly_exact_div_inverses_many(p, (q,))
 
@@ -715,83 +745,73 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
     bar-free and the stepwise free divisions are exact whenever the full
     quotient exists.
 
-    The whole chain runs under one ``_Layout``, built from the cleared
-    dividend and all cleared divisors with degree bound D, the largest of
-    their total degrees: the dividend is packed once, every step
-    eliminates on the packed quotient of the step before, and the final
-    quotient is unpacked once.  No step overflows: within a step every
-    remainder and quotient monomial is at most the lead of that step's
-    dividend in the graded order, so its total degree is at most that
-    lead's; the dividend of each step is the quotient of the step before,
-    so by induction no monomial of the chain has a total degree above the
-    cleared dividend's, which is at most D.  p is reduced here, so
-    callers need not reduce it first.
+    The whole chain runs under one paired ``_Layout``: packing p and the
+    divisors reduces them, each net exponent's low point is read off the
+    packed ints, clearing is one add of a packed plain-letter power per
+    int, and the compensation is one more, folded into the final unpack.
+    The cleared ints are bar-free with every field >= 0, so they equal the
+    graded packing and ``_divide_packed`` runs on them unchanged.
 
-    On failure the DivisionNotExact message is the stepwise fold's: with
-    more than one divisor the fold is run to raise it (only on this
-    failure path), and the chain's own error is re-raised should the
-    fold succeed.
+    The degree bound covers every int of the chain.  With D the largest
+    total degree among p and the divisors, S the sum of the divisors'
+    degrees and P the number of inverse-pair fields: each net exponent of
+    an operand lies in [-D, D] and each divisor's in [-S, S], so the
+    clearing power of a pair is at most D + 2S.  A cleared operand then
+    has total degree at most D + P(D + 2S); within a step every remainder
+    and quotient monomial is at most the lead of that step's dividend in
+    the graded order, and each step's dividend is the quotient of the
+    step before, so no monomial of the chain exceeds that.  The final
+    quotient's net exponents lie between low(p) - low(divisors) and
+    high(p) - high(divisors), within D + S, so its total degree is at
+    most D + P(D + S).
+
+    On failure the DivisionNotExact message is the stepwise fold's.  The
+    chain fails at step k exactly when the fold does, so the failing step
+    is re-divided alone, from the unpacked, compensated quotient of the
+    step before, to raise the fold's message; the chain's own error is
+    re-raised should that division succeed.
     """
-    a = poly_reduce_inverses(p)
-    divs = [poly_reduce_inverses(q) for q in divisors]
-    for b in divs:
-        if not b.terms:
-            raise DivisionByZero("division by the zero polynomial")
-    if not a.terms:
+    divisors = list(divisors)
+    codes: set = set()
+    degrees = [_codes_and_degree(poly, codes) for poly in [p, *divisors]]
+    deg, span = max(degrees), sum(degrees[1:])
+    pairs = len({code - code % 2 for code in codes if code < _A_NEG_LOW})
+    layout = _Layout(codes, deg + pairs * (deg + 2 * span), paired=True)
+    a = layout.pack_terms(p)
+    divs = [layout.pack_terms(q) for q in divisors]
+    if not all(divs):
+        raise DivisionByZero("division by the zero polynomial")
+    if not a:
         return ZERO
     if not divs:
-        return a
-    bases = {
-        code - (code % 2)
-        for poly in [a, *divs]
-        for m in poly.terms
-        for code, _ in m
-        if code < _A_NEG_LOW
-    }
-    stats_a = _inverse_stats(a, bases)
-    stats_divs = [_inverse_stats(b, bases) for b in divs]
-    shifts_a: dict = {}
-    comp: dict = {}
-    div_shifts: list = [{} for _ in divs]
-    for c in bases:
-        bar_a, low_a = stats_a[c]
-        sum_bar = sum(st[c][0] for st in stats_divs)
-        sum_low = sum(st[c][1] for st in stats_divs)
+        return layout.to_poly(a)
+    unit = layout.unit
+    low_a = layout.lowest(a)
+    lows = [layout.lowest(b) for b in divs]
+    clear_a = 0
+    clears = [0] * len(divs)
+    for code, low in low_a.items():
+        bars = [max(0, -lb[code]) for lb in lows]
+        sum_low = sum(lb[code] for lb in lows)
         # Clearing a by plain^need must leave room for the quotient's own
-        # barred powers, whose depth is bounded by sum_low - low_a.
-        need = max(bar_a, sum_bar + max(0, sum_low - low_a))
-        if need:
-            shifts_a[c] = need
-        for st, sh in zip(stats_divs, div_shifts):
-            if st[c][0]:
-                sh[c] = st[c][0]
-        if need - sum_bar:
-            comp[c] = sum_bar - need
-    if shifts_a:
-        a = _poly({_mono_shift_cancel(m, shifts_a): cc for m, cc in a.terms.items()})
-    cleared = [
-        _poly({_mono_shift_cancel(m, sh): cc for m, cc in b.terms.items()}) if sh else b
-        for b, sh in zip(divs, div_shifts)
-    ]
-    codes: set = set()
-    deg = max(_codes_and_degree(poly, codes) for poly in [a, *cleared])
-    layout = _Layout(codes, deg)
-    quot = layout.pack_terms(a)
+        # barred powers, whose depth is bounded by sum_low - low.
+        need = max(-low, sum(bars) + max(0, sum_low - low))
+        clear_a += need * unit[code]
+        for k, bar in enumerate(bars):
+            clears[k] += bar * unit[code]
+    quot = {v + clear_a: c for v, c in a.items()}
     try:
-        for b in cleared:
-            quot = _divide_packed(quot, layout.pack_terms(b), layout)
+        for k, (b, clear) in enumerate(zip(divs, clears)):
+            # From the second step on, keep the dividend: a failing step
+            # is re-divided from it.
+            prev = quot
+            quot = _divide_packed(dict(quot) if k else quot, {v + clear: c for v, c in b.items()}, layout)
     except DivisionNotExact:
         if len(divs) > 1:
-            # The chain's message names a term in its own cleared
-            # coordinates; let the stepwise fold raise its own message.
-            q = p
-            for b in divs:
-                q = poly_exact_div_inverses(q, b)
+            before = p if k == 0 else layout.to_poly(prev, sum(clears[:k]) - clear_a)
+            poly_exact_div_inverses(before, divisors[k])
         raise
-    out = layout.to_poly(quot)
-    if comp:
-        return _poly({_mono_shift_cancel(m, comp): cc for m, cc in out.terms.items()})
-    return out
+    return layout.to_poly(quot, sum(clears) - clear_a)
 
 
 def poly_halve(p: Poly) -> Poly:
@@ -804,7 +824,7 @@ def poly_halve(p: Poly) -> Poly:
     return _poly(out)
 
 
-def _det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
+def _det_cofactor(rows: Sequence[Sequence[Poly]], paired: bool = False) -> Poly:
     """First-row cofactor expansion on packed exponents, memoised on the
     surviving column set.
 
@@ -817,15 +837,20 @@ def _det_cofactor(rows: Sequence[Sequence[Poly]]) -> Poly:
     some set of rows, so it, and every minor, has total degree at most D
     and no field overflows.  Products accumulate in place in one dict per
     minor (``_Layout.mul_add``), and the determinant is unpacked once.
+
+    ``paired`` selects the paired layout (see ``_Layout``): the
+    determinant then comes out reduced modulo x_i*xb_i = 1 and
+    s_i*sb_i = 1, as the characters need it; ``poly_determinant`` keeps
+    the free ring's formal layout.
     """
     k = len(rows)
     while k > 1 and rows[k - 1][k - 1] == ONE and not any(rows[i][k - 1] for i in range(k - 1)):
         k -= 1
     if k == 0:
         return ONE
-    if k == 1:
+    if k == 1 and not paired:
         return rows[0][0]
-    layout, packed = _Layout.for_products(row[:k] for row in rows[:k])
+    layout, packed = _Layout.for_products((row[:k] for row in rows[:k]), paired)
     memo: dict = {}
 
     def rec(cols: tuple) -> dict:

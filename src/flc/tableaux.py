@@ -31,10 +31,14 @@ factor degree.  Every cell factor is linear (x + a, xb + a, 1 - a, or a
 bare letter when the a-index is <= 0), so the bound is at most |lambda|,
 and no weight or sum of weights has a term of higher degree.  A weight
 is the product of its cells' packed factors, each monomial product one
-int add; coefficient times weight accumulates in one packed dict, which
-is unpacked once and normalised once with poly_reduce_inverses like
-every other character-level value.  weight() stays the literal Poly
-product of the cell factors, the oracle the tests hold the engine to.
+int add.  group_tableau_sum packs under the paired layout, where x_k and
+xb_k share one signed field, so x_k*xb_k cancels inside those adds:
+coefficient times weight accumulates in one packed dict that is already
+in the reduced normal form of every other character-level value, and is
+unpacked once.  weighted_tableaux lists each weight under the formal
+layout, as the literal product of its cells, matched pairs kept.
+weight() stays the literal Poly product of the cell factors, the oracle
+the tests hold the engine to.
 """
 
 from __future__ import annotations
@@ -268,10 +272,11 @@ def so_even_coefficient(t: Tableau, plus: bool) -> int:
 
 
 def _packed_tableaux(
-    group: Group, n: int, lam_parts: Iterable[int]
+    group: Group, n: int, lam_parts: Iterable[int], paired: bool
 ) -> Tuple[_Layout, Iterator[Tuple[Tableau, int, dict]]]:
     """The engine: a layout and the (tableau, coefficient, packed weight)
-    triples of the group's sum, packed weights under that layout.
+    triples of the group's sum, packed weights under that layout, which
+    is paired or formal as ``paired`` says (see polyring._Layout).
 
     The coefficient rules, the only place they are written down:
 
@@ -297,9 +302,12 @@ def _packed_tableaux(
     tableaux = enumerate_tableaux(group, n, lam)
     alphabet = _alphabet(Group.EO if group in _EO_FAMILY else group, n)
     layout, packed = _Layout.for_products(
-        [_cell_weight(e, i, j, group, n) for e in alphabet]
-        for i, w in enumerate(lam, start=1)
-        for j in range(1, w + 1)
+        (
+            [_cell_weight(e, i, j, group, n) for e in alphabet]
+            for i, w in enumerate(lam, start=1)
+            for j in range(1, w + 1)
+        ),
+        paired,
     )
     cells = [dict(zip(alphabet, factors)) for factors in packed]
 
@@ -329,7 +337,7 @@ def weighted_tableaux(
     parts, iterating raises InvalidShape.  The triples are yielded, not
     listed, so a caller never needs to hold every weight at once.
     """
-    layout, triples = _packed_tableaux(group, n, lam_parts)
+    layout, triples = _packed_tableaux(group, n, lam_parts, paired=False)
     for t, c, w in triples:
         yield t, c, layout.to_poly(w)
 
@@ -342,14 +350,14 @@ def weighted_sum(triples: Iterable[Tuple[Tableau, int, Poly]]) -> Poly:
 def group_tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
     """The weighted tableau sum of any of the seven groups.
 
-    The engine's packed weights are summed packed, then unpacked and
-    reduced once.  Raises InvalidShape for EO_DIFF with fewer than n
-    nonzero parts; SO_EVEN_PLUS/MINUS with fewer than n nonzero parts
-    get the plain 2^zeta sum.
+    The engine's weights are formed and summed on the paired layout, so
+    the sum comes out reduced and is unpacked once.  Raises InvalidShape
+    for EO_DIFF with fewer than n nonzero parts; SO_EVEN_PLUS/MINUS with
+    fewer than n nonzero parts get the plain 2^zeta sum.
     """
-    layout, triples = _packed_tableaux(group, n, lam_parts)
+    layout, triples = _packed_tableaux(group, n, lam_parts, paired=True)
     total = layout.linear_combination((c, w) for _, c, w in triples)
-    return poly_reduce_inverses(layout.to_poly(total))
+    return layout.to_poly(total)
 
 
 def tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:

@@ -4,7 +4,7 @@ rendering and serialization for the sparse polynomial core."""
 from itertools import permutations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flc.polyring import (
@@ -20,6 +20,7 @@ from flc.polyring import (
     OddCoefficient,
     OddHalfPower,
     Poly,
+    _Layout,
     eval_integer,
     map_s_to_x,
     pa,
@@ -195,8 +196,10 @@ def test_exact_div_by_zero():
         (6 * x1 * a1 - 4 * x2, poly_const(2), 3 * x1 * a1 - 2 * x2),
         # high exponents
         ((x1 - a1) * (x1 ** 40 + a2), x1 - a1, x1 ** 40 + a2),
+        # the free ring: x1*xb1 is a monomial of its own, not 1
+        (x1 * xb1 * x2 - x2, x2, x1 * xb1 - ONE),
     ],
-    ids=["antisymmetric", "constant-divisor", "high-exponent"],
+    ids=["antisymmetric", "constant-divisor", "high-exponent", "free-ring-pair"],
 )
 def test_exact_div_antisymmetric_alternant(numer, denom, quot):
     assert poly_exact_div(numer, denom) == quot
@@ -238,6 +241,37 @@ def test_reduce_inverses_is_ring_hom(p, q):
 def test_reduce_inverses_leaves_a_letters_alone():
     p = a1 * a2 + 3 * a3
     assert poly_reduce_inverses(p) == p
+
+
+# ---------------------------------------------------------------------------
+# the paired packed layout: one signed field per inverse pair
+
+
+@settings(max_examples=150)
+@given(st.lists(polys(), min_size=2, max_size=3))
+# x1*xb1 and 1 collide on packing, with opposite coefficients
+@example([x1 * xb1 - ONE + a1, x1 * xb1 + ONE])
+# net exponent -D in one field, and in the degree field
+@example([xb1 ** 70, xb1 ** 30 * xb2 ** 40])
+@example([x1 ** 70 + xb1 ** 70, xb2 ** 70 + x2 * a1])
+def test_paired_layout_equals_the_reduced_poly_arithmetic(factors):
+    """Pack one group per factor, multiply and combine on the packed ints,
+    unpack, and compare with the reduced Poly arithmetic.  Exponents
+    reach 70 on x and xb alike, so net exponents reach +-D."""
+    red = poly_reduce_inverses
+    layout, groups = _Layout.for_products([[f] for f in factors], paired=True)
+    packed = [g[0] for g in groups]
+    for f, pf in zip(factors, packed):
+        assert layout.to_poly(pf) == red(f)
+    prod = ONE
+    for f in factors:
+        prod = prod * f
+    assert layout.to_poly(layout.product(packed)) == red(prod)
+    out: dict = {}
+    layout.mul_add(out, packed[0], packed[1], -2)
+    assert layout.to_poly(out) == red(-2 * factors[0] * factors[1])
+    combined = layout.linear_combination((k + 1, pf) for k, pf in enumerate(packed))
+    assert layout.to_poly(combined) == red(poly_sum((k + 1) * f for k, f in enumerate(factors)))
 
 
 @settings(max_examples=100)
@@ -341,8 +375,9 @@ def _demo_matrix():
 
 
 def test_determinant_equals_leibniz():
-    m = _demo_matrix()
-    assert poly_determinant(m) == _leibniz(m)
+    # The free ring: [[x1, 1], [1, xb1]] keeps its x1*xb1 term.
+    for m in (_demo_matrix(), [[x1, ONE], [ONE, xb1]]):
+        assert poly_determinant(m) == _leibniz(m)
 
 
 def test_determinant_row_scaling():

@@ -309,6 +309,9 @@ def test_sp_worked_example_weight():
         * (px(4) + pa(1)) * (pxb(4) + pa(3)) * (pxb(4) + pa(4))
     )
     assert weight(t, Group.SP, 4) == expected
+    # The listing keeps matched pairs: the tableau 1 1~ weighs x1*(xb1 + a2).
+    listed = [poly_to_str(w) for _, _, w in weighted_tableaux(Group.SP, 1, (2,))]
+    assert "x1*xb1 + x1*a2" in listed
 
 
 def test_oo_worked_example_weight():
