@@ -5,9 +5,11 @@ character is a polynomial in x_1, xb_1, ..., x_n, xb_n and the shift
 alphabet a_1, a_2, ...  It can be computed as
 
 * a ratio of alternants (``char_raw`` builds the matrix entries from
-  factorial powers, ``char_alternant`` from one-pair h-series; both then
-  divide the numerator determinant exactly by the denominator
-  determinant), or
+  factorial powers, ``char_alternant`` from one-pair h-series, and
+  ``char_raw_diff`` the difference character o' from the entries
+  (x_i|a)^m - (xb_i|a)^m).  All three run one pipeline,
+  ``_ratio_character``, which divides the numerator determinant exactly
+  by the denominator determinant's product form, or
 * a flagged Jacobi-Trudi determinant of h functions (``char_jacobi_trudi``),
   which involves no division at all.
 
@@ -22,7 +24,7 @@ are built in the s-letters with x_i realised as s_i^2; the exact quotient
 is then mapped back to whole x-powers.  The even-orthogonal ratio carries
 a factor eta (1/2 exactly when lambda_n = 0) which is realised by halving
 the numerator determinant in that case; the denominator determinant is
-halved always.
+halved always.  o' divides by that same denominator and is never halved.
 
 The barred letters are reciprocals of the plain ones, and for two or more
 pairs the alternant quotients only exist granting x_i*xb_i = 1 (likewise
@@ -47,7 +49,6 @@ from typing import Callable, Iterable, List, Sequence
 from .hfuncs import _CACHE_SIZE, HKind, VarSpec, factorial_power, h
 from .polyring import (
     ONE,
-    ZERO,
     Poly,
     X,
     XB,
@@ -105,6 +106,13 @@ _JT_KIND = {
 }
 
 
+def _flag_spec(kind: HKind, lo: int, hi: int) -> VarSpec:
+    """The variable content of pairs (GL: letters) lo..hi."""
+    if kind is HKind.GL:
+        return VarSpec(HKind.GL, singles=tuple(X(k) for k in range(lo, hi + 1)))
+    return VarSpec(kind, pairs=tuple(range(lo, hi + 1)))
+
+
 def make_partition(parts: Iterable[int], rank: int) -> tuple:
     """Validate and zero-pad a weakly decreasing partition to the rank."""
     lam = tuple(int(p) for p in parts)
@@ -160,22 +168,19 @@ def _raw_entry(group: Group, i: int, m: int) -> Poly:
         return s * factorial_power(s * s, m) - sb * factorial_power(sb * sb, m)
     if group is Group.EO:
         return factorial_power(X(i), m) + factorial_power(XB(i), m)
+    if group is Group.EO_DIFF:
+        return factorial_power(X(i), m) - factorial_power(XB(i), m)
     raise ValueError(f"no raw alternant for group {group}")
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _alt_entry(group: Group, i: int, m: int) -> Poly:
-    if group is Group.GL:
-        return h(VarSpec(HKind.GL, singles=(X(i),)), m)
-    if group is Group.SP:
-        return h(VarSpec(HKind.SP, pairs=(i,)), m)
-    if group is Group.OO:
-        return h(VarSpec(HKind.OO, pairs=(i,)), m)
-    if group is Group.EO:
+    entry = h(_flag_spec(_JT_KIND[group], i, i), m)
+    if group is Group.EO and m == 0:
         # The delta-free one-pair series: at m = 0 this is 2, not h_0 = 1;
         # the halving below absorbs the overall factor of 2 per eta-convention.
-        return h(VarSpec(HKind.EO, pairs=(i,)), m) + (ONE if m == 0 else ZERO)
-    raise ValueError(f"no alternant for group {group}")
+        return entry + ONE
+    return entry
 
 
 def _denominator_factors(group: Group, n: int) -> list:
@@ -237,11 +242,9 @@ def _denominator_info(group: Group, n: int, route: str) -> tuple:
     # outside GL the alternant route divides only by the cross terms,
     # which are EO's whole denominator (for OO in the x-letters too).
     cross_only = route == "alternant" and group is not Group.GL
-    factors = tuple(_denominator_factors(Group.EO if cross_only else group, n))
-    prod = ONE
-    for f in factors:
-        prod = prod * f
-    matches = denom == poly_reduce_inverses(prod)
+    factor_group = Group.EO if cross_only else group
+    factors = tuple(_denominator_factors(factor_group, n))
+    matches = denom == poly_reduce_inverses(weyl_denominator_product(factor_group, n))
     return factors, matches
 
 
@@ -262,9 +265,16 @@ def _divide_by_denominator(numer: Poly, group: Group, n: int, route: str) -> Pol
     return poly_exact_div_inverses_many(numer, factors)
 
 
-def _ratio_character(spec: CharSpec, route: str) -> Poly:
+def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
+    """The pipeline of char_raw, char_alternant and char_raw_diff: the
+    numerator determinant divided by the denominator's product form, for
+    the groups the calling route accepts (ValueError otherwise).
+
+    EO_DIFF divides by EO's denominator; EO alone carries the eta = 1/2
+    of lambda_n = 0, realised by halving the numerator.
+    """
     group, n, lam = spec.group, spec.rank, spec.lam
-    if group not in _RATIO_GROUPS:
+    if group not in groups:
         raise ValueError(f"no alternant-ratio route for group {group}")
     entry = _ENTRY_FN[route]
     exps_num = [lam[j] + n - (j + 1) for j in range(n)]
@@ -273,7 +283,8 @@ def _ratio_character(spec: CharSpec, route: str) -> Poly:
     )
     if group is Group.EO and lam[n - 1] == 0:
         numer = poly_halve(numer)
-    out = _divide_by_denominator(numer, group, n, route)
+    den_group = Group.EO if group is Group.EO_DIFF else group
+    out = _divide_by_denominator(numer, den_group, n, route)
     if group is Group.OO and route == "raw":
         out = map_s_to_x(out)
     return out
@@ -281,18 +292,12 @@ def _ratio_character(spec: CharSpec, route: str) -> Poly:
 
 def char_raw(spec: CharSpec) -> Poly:
     """Character as the literal ratio of factorial-power alternants."""
-    return _ratio_character(spec, "raw")
+    return _ratio_character(spec, "raw", _RATIO_GROUPS)
 
 
 def char_alternant(spec: CharSpec) -> Poly:
     """Character as a ratio of alternants with series-built h entries."""
-    return _ratio_character(spec, "alternant")
-
-
-def _flag_spec(kind: HKind, i: int, n: int) -> VarSpec:
-    if kind is HKind.GL:
-        return VarSpec(HKind.GL, singles=tuple(X(k) for k in range(i, n + 1)))
-    return VarSpec(kind, pairs=tuple(range(i, n + 1)))
+    return _ratio_character(spec, "alternant", _RATIO_GROUPS)
 
 
 def char_jacobi_trudi(spec: CharSpec) -> Poly:
@@ -320,19 +325,7 @@ def char_raw_diff(n: int, lam_parts: Iterable[int]) -> Poly:
     numerator column vanishes identically, so the result is 0 (computed,
     not special-cased).
     """
-    lam = make_partition(lam_parts, n)
-    exps_num = [lam[j] + n - (j + 1) for j in range(n)]
-    numer = _det_cofactor(
-        [
-            [factorial_power(X(i), m) - factorial_power(XB(i), m) for m in exps_num]
-            for i in range(1, n + 1)
-        ],
-        paired=True,
-    )
-    if not numer:
-        return ZERO
-    # The denominator is the halved even-orthogonal one, shared with char_raw.
-    return _divide_by_denominator(numer, Group.EO, n, "raw")
+    return _ratio_character(char_spec(Group.EO_DIFF, n, lam_parts), "raw", (Group.EO_DIFF,))
 
 
 def _so_even_split(

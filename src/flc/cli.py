@@ -12,7 +12,11 @@ import sys
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .characters import (
+    _JT_KIND,
+    _RATIO_GROUPS,
     Group,
+    _denominator_info,
+    _flag_spec,
     char_alternant,
     char_jacobi_trudi,
     char_raw,
@@ -27,11 +31,13 @@ from .characters import (
     shapes,
     zero_a,
 )
-from .hfuncs import HKind, VarSpec, gl_vars, h
+from .hfuncs import HKind, h
 from .latticepaths import lgv_signed_sum
 from .polyring import (
     ZERO,
     Poly,
+    X,
+    XB,
     parse_var,
     poly_reduce_inverses,
     poly_substitute,
@@ -41,6 +47,7 @@ from .polyring import (
     pxb,
 )
 from .tableaux import (
+    _EO_FAMILY,
     InvalidShape,
     diff_tableau_sum,
     group_tableau_sum,
@@ -55,22 +62,6 @@ from .tableaux import (
 
 __all__ = ["main"]
 
-# canonical CLI spellings first, short codes accepted as aliases
-_GROUPS: Dict[str, Group] = {
-    "gl": Group.GL,
-    "sp": Group.SP,
-    "so-odd": Group.OO,
-    "o-even": Group.EO,
-    "o-even-diff": Group.EO_DIFF,
-    "so-even-plus": Group.SO_EVEN_PLUS,
-    "so-even-minus": Group.SO_EVEN_MINUS,
-    "oo": Group.OO,
-    "eo": Group.EO,
-    "eod": Group.EO_DIFF,
-    "so+": Group.SO_EVEN_PLUS,
-    "so-": Group.SO_EVEN_MINUS,
-}
-
 _CANONICAL = {
     Group.GL: "gl",
     Group.SP: "sp",
@@ -81,7 +72,19 @@ _CANONICAL = {
     Group.SO_EVEN_MINUS: "so-even-minus",
 }
 
-_BASE_GROUPS = (Group.GL, Group.SP, Group.OO, Group.EO)
+_ALIASES = {
+    "oo": Group.OO,
+    "eo": Group.EO,
+    "eod": Group.EO_DIFF,
+    "so+": Group.SO_EVEN_PLUS,
+    "so-": Group.SO_EVEN_MINUS,
+}
+
+# canonical CLI spellings first, short codes accepted as aliases
+_GROUPS: Dict[str, Group] = {
+    **{name: g for g, name in _CANONICAL.items()},
+    **_ALIASES,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,12 +92,8 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
-        raise SystemExit(self._fail(message))
-
-    @staticmethod
-    def _fail(message: str) -> int:
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _parse_group(name: str) -> Group:
@@ -136,7 +135,7 @@ def _method_character(group: Group, n: int, lam: tuple, method: str) -> Poly:
     spec = char_spec(group, n, lam)
     if method == "jacobi-trudi":
         return character(spec)
-    if group in _BASE_GROUPS:
+    if group in _RATIO_GROUPS:
         return char_alternant(spec)
     if group is Group.EO_DIFF:
         return char_raw_diff(n, lam)
@@ -245,69 +244,47 @@ def _check_routes(group: Group, max_rank: int, max_part: int) -> bool:
     return True
 
 
-_RECUR_KIND = {
-    Group.GL: HKind.GL,
-    Group.SP: HKind.SP,
-    Group.OO: HKind.OO,
-    Group.EO: HKind.EO,
-}
-
-
 def _check_recurrence(group: Group, max_rank: int, max_part: int) -> bool:
-    kind = _RECUR_KIND[group]
+    kind = _JT_KIND[group]
     for j in range(2, max_rank + 1):
         for i in range(1, j):
+            if kind is HKind.GL:
+                factor = px(i) - px(j)
+            else:
+                factor = px(i) + pxb(i) - px(j) - pxb(j)
             for m in range(0, max_part + 2):
-                if kind is HKind.GL:
-                    left_vs = VarSpec(kind, singles=gl_vars(*range(i, j)))
-                    right_vs = VarSpec(kind, singles=gl_vars(*range(i + 1, j + 1)))
-                    full_vs = VarSpec(kind, singles=gl_vars(*range(i, j + 1)))
-                    factor = px(i) - px(j)
-                else:
-                    left_vs = VarSpec(kind, pairs=tuple(range(i, j)))
-                    right_vs = VarSpec(kind, pairs=tuple(range(i + 1, j + 1)))
-                    full_vs = VarSpec(kind, pairs=tuple(range(i, j + 1)))
-                    factor = px(i) + pxb(i) - px(j) - pxb(j)
-                lhs = h(left_vs, m) - h(right_vs, m)
-                rhs = factor * h(full_vs, m - 1)
+                lhs = h(_flag_spec(kind, i, j - 1), m) - h(_flag_spec(kind, i + 1, j), m)
+                rhs = factor * h(_flag_spec(kind, i, j), m - 1)
                 if poly_reduce_inverses(lhs) != poly_reduce_inverses(rhs):
                     return False
     return True
 
 
 def _swap_pairs(p: Poly, i: int, j: int, barred: bool) -> Poly:
-    mapping = {parse_var(f"x{i}"): px(j), parse_var(f"x{j}"): px(i)}
+    mapping = {X(i): px(j), X(j): px(i)}
     if barred:
-        mapping[parse_var(f"xb{i}")] = pxb(j)
-        mapping[parse_var(f"xb{j}")] = pxb(i)
+        mapping[XB(i)] = pxb(j)
+        mapping[XB(j)] = pxb(i)
     return poly_substitute(p, mapping)
 
 
 def _check_symmetry(group: Group, max_rank: int, max_part: int) -> bool:
-    n = max(2, min(max_rank, 2))
+    n = 2
+    barred = group is not Group.GL
     lam_full = make_partition([min(2, max_part), min(1, max_part)], n)
     specs = [lam_full, make_partition([min(2, max_part)] * n, n)]
     for lam in specs:
-        if group is Group.EO_DIFF:
-            p = char_raw_diff(n, lam)
-        elif group in (Group.SO_EVEN_PLUS, Group.SO_EVEN_MINUS):
-            p = char_so_even(char_spec(group, n, lam))
-        else:
-            p = char_jacobi_trudi(char_spec(group, n, lam))
-        if _swap_pairs(p, 1, 2, barred=group is not Group.GL) != p:
+        p = char_jacobi_trudi(char_spec(group, n, lam))
+        if _swap_pairs(p, 1, 2, barred) != p:
             return False
-        if group in (Group.SP, Group.OO, Group.EO):
-            swapped = poly_substitute(
-                p, {parse_var("x1"): pxb(1), parse_var("xb1"): px(1)}
-            )
+        if barred:
+            swapped = poly_substitute(p, {X(1): pxb(1), XB(1): px(1)})
             if poly_reduce_inverses(swapped) != p:
                 return False
     return True
 
 
 def _check_denominator(group: Group, max_rank: int) -> bool:
-    from .characters import _denominator_info
-
     for n in range(1, max_rank + 1):
         for route in ("raw", "alternant"):
             _, matches = _denominator_info(group, n, route)
@@ -350,13 +327,7 @@ def _verify_checks(
     max_rank: int, max_part: int, groups: set
 ) -> List[Tuple[str, Callable[[], bool]]]:
     checks: List[Tuple[str, Callable[[], bool]]] = []
-    even_family = {
-        Group.EO,
-        Group.EO_DIFF,
-        Group.SO_EVEN_PLUS,
-        Group.SO_EVEN_MINUS,
-    }
-    for g in _BASE_GROUPS:
+    for g in _RATIO_GROUPS:
         if g not in groups:
             continue
         name = _CANONICAL[g]
@@ -375,7 +346,7 @@ def _verify_checks(
         )
     if Group.GL in groups:
         checks.append(("lgv[gl]", lambda: _check_lgv(max_rank, max_part)))
-    if groups & even_family:
+    if groups.intersection(_EO_FAMILY):
         checks.append(
             ("so-even-decomposition", lambda: _check_so_even(max_rank, max_part))
         )
@@ -429,7 +400,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: _Parser) -> None:
-        p.add_argument("--group", required=True, help="gl, sp, so-odd, o-even, o-even-diff, so-even-plus, so-even-minus (codes oo/eo/eod/so+/so- accepted)")
+        p.add_argument("--group", required=True, help=f"{', '.join(_CANONICAL.values())} (codes {'/'.join(_ALIASES)} accepted)")
         p.add_argument("--rank", type=int, required=True)
         p.add_argument("--lambda", dest="lam", required=True, help="comma-separated partition, zero-padded to rank")
 

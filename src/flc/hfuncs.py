@@ -47,7 +47,9 @@ from .polyring import (
     VarId,
     X,
     XB,
+    map_s_to_x,
     pa,
+    poly_exact_div,
     poly_reduce_inverses,
     poly_var,
     px,
@@ -186,8 +188,6 @@ def h(spec: VarSpec, m: int) -> Poly:
 
 def h_closed_one_pair(kind: HKind, i: int, m: int, shift: int = 0) -> Poly:
     """Closed form of h_m on a single pair (or single variable for GL)."""
-    from .polyring import map_s_to_x, poly_exact_div
-
     if kind is HKind.EOD:
         if m <= 0:
             return ZERO

@@ -17,7 +17,7 @@ enumeration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterable, List, Sequence, Tuple
 
 from .characters import make_partition
@@ -86,17 +86,10 @@ def _paths_between(n: int, i: int, j: int, lam: Sequence[int]) -> List[LatticePa
         return []
     out = []
     # choose which of the vert+horiz step slots are horizontal
-    for hpos in _choose(vert + horiz, horiz):
+    for hpos in combinations(range(vert + horiz), horiz):
         steps = tuple("H" if k in hpos else "V" for k in range(vert + horiz))
         out.append(LatticePath(n, start, steps))
     return out
-
-
-def _choose(m: int, k: int) -> Iterable[frozenset]:
-    from itertools import combinations
-
-    for c in combinations(range(m), k):
-        yield frozenset(c)
 
 
 def enumerate_gl_tuples(

@@ -228,13 +228,22 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Mono, int] | None = None):
-        clean = {}
-        if terms:
-            for m, c in terms.items():
-                # A term mentioning a_j with j <= 0 is identically zero.
-                if c and not any(_A_NEG_LOW < code <= _A_BASE for code, _ in m):
-                    clean[tuple(sorted(m))] = c
-        object.__setattr__(self, "terms", clean)
+        """Canonicalise (code, exponent) pairs given in any order: repeated
+        codes merge, zero exponents drop, and terms that land on the same
+        monomial add.  A negative exponent raises ValueError."""
+        clean: dict = {}
+        for m, c in (terms or {}).items():
+            mono: dict = {}
+            for code, e in m:
+                if e < 0:
+                    raise ValueError(f"negative exponent {e} on {_var_name(code)}")
+                if e:
+                    mono[code] = mono.get(code, 0) + e
+            # A term mentioning a_j with j <= 0 is identically zero.
+            if not any(_A_NEG_LOW < code <= _A_BASE for code in mono):
+                key = tuple(sorted(mono.items()))
+                clean[key] = clean.get(key, 0) + c
+        object.__setattr__(self, "terms", _strip(clean))
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("Poly is immutable")
@@ -1002,18 +1011,8 @@ def poly_to_json(p: Poly) -> dict:
 
 def poly_from_json(data: Mapping) -> Poly:
     """Inverse of poly_to_json."""
-    total: dict = {}
-    for term in data["terms"]:
-        pairs = []
-        dead = False
-        for name, exp in term["monomial"].items():
-            v = parse_var(name)
-            if v.kind == "a" and v.index <= 0:
-                dead = True  # a_j with j <= 0 is zero, so the term vanishes
-                break
-            pairs.append((v.code(), int(exp)))
-        if dead:
-            continue
-        mono = tuple(sorted(pairs))
-        total[mono] = total.get(mono, 0) + int(term["coeff"])
-    return _poly(_strip(total))
+    terms = (
+        (tuple((parse_var(v).code(), int(e)) for v, e in t["monomial"].items()), int(t["coeff"]))
+        for t in data["terms"]
+    )
+    return poly_sum(Poly({m: c}) for m, c in terms)

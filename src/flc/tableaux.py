@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, List, Tuple
 
-from .characters import Group, make_partition, partition_length
+from .characters import _RATIO_GROUPS, Group, make_partition, partition_length
 from .polyring import ONE, Poly, _Layout, pa, poly_reduce_inverses, poly_sum, px, pxb
 
 __all__ = [
@@ -362,7 +362,7 @@ def group_tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
 
 def tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
     """Sum of 2^zeta * weight over the group's tableaux of shape lambda."""
-    if group not in (Group.GL, Group.SP, Group.OO, Group.EO):
+    if group not in _RATIO_GROUPS:
         raise ValueError(f"no plain tableau sum for group {group}")
     return group_tableau_sum(group, n, lam_parts)
 

@@ -21,7 +21,7 @@ from flc.characters import (
     zero_a,
 )
 from flc.hfuncs import factorial_power
-from flc.tableaux import tableau_sum
+from flc.tableaux import group_tableau_sum, tableau_sum
 from flc.polyring import (
     ONE,
     X,
@@ -264,6 +264,29 @@ def test_eod_jacobi_trudi_zero_when_last_part_zero():
     for lam in [(1, 0), (3, 2, 0)]:
         n = len(lam)
         assert char_jacobi_trudi(char_spec(Group.EO_DIFF, n, lam)) == ZERO
+
+
+# The groups each route accepts; every other group raises ValueError.
+# char_raw_diff takes no group: it is the raw route of EO_DIFF alone.
+_ROUTE_GROUPS = {
+    char_raw: BASE_GROUPS,
+    char_alternant: BASE_GROUPS,
+    char_jacobi_trudi: BASE_GROUPS + (Group.EO_DIFF,),
+}
+
+
+@pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)
+def test_route_group_contract(group):
+    n, lam = 2, (2, 1)
+    spec = char_spec(group, n, lam)
+    expected = group_tableau_sum(group, n, lam)
+    for route, accepted in _ROUTE_GROUPS.items():
+        if group in accepted:
+            assert route(spec) == expected, route.__name__
+        else:
+            with pytest.raises(ValueError):
+                route(spec)
+    assert (char_raw_diff(n, lam) == expected) == (group is Group.EO_DIFF)
 
 
 def test_character_dispatch():

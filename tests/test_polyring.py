@@ -502,6 +502,57 @@ def test_json_round_trip(p):
     assert poly_from_json(poly_to_json(p)) == p
 
 
+# Each case: the same polynomial written canonically (a Poly expression)
+# and non-canonically (a constructor mapping or a JSON document).
+_X1, _X2 = X(1).code(), X(2).code()
+
+
+@pytest.mark.parametrize(
+    "given, expected",
+    [
+        (lambda: Poly({((_X2, 1), (_X1, 1)): 1, ((_X1, 1), (_X2, 1)): 1}), 2 * x1 * x2),
+        (lambda: Poly({((_X1, 1), (_X1, 2)): 3}), 3 * x1 ** 3),
+        (lambda: Poly({((_X1, 0),): 1, (): -1}), ZERO),
+        (lambda: Poly({((_X1, 0), (_X2, 2)): 1}), x2 ** 2),
+        (
+            lambda: poly_from_json(
+                {"terms": [{"coeff": 1, "monomial": {"x1": 0}}, {"coeff": -1, "monomial": {}}]}
+            ),
+            ZERO,
+        ),
+        (
+            lambda: poly_from_json(
+                {"terms": [{"coeff": 1, "monomial": {"x1": 1}}, {"coeff": 2, "monomial": {"x1": 1}}]}
+            ),
+            3 * x1,
+        ),
+        (lambda: poly_from_json({"terms": [{"coeff": 1, "monomial": {"a0": 1, "x1": 1}}]}), ZERO),
+        (lambda: Poly({((_X1, -1),): 1}), ValueError),
+        (lambda: poly_from_json({"terms": [{"coeff": 1, "monomial": {"x1": -1}}]}), ValueError),
+    ],
+    ids=[
+        "colliding-keys-add",
+        "repeated-code-merges",
+        "zero-exponent-cancels",
+        "zero-exponent-drops",
+        "json-zero-exponent-cancels",
+        "json-repeated-monomial-adds",
+        "json-a0-term-vanishes",
+        "negative-exponent",
+        "json-negative-exponent",
+    ],
+)
+def test_constructor_gives_canonical_form(given, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError):
+            given()
+        return
+    p = given()
+    assert p == expected
+    assert poly_to_str(p) == poly_to_str(expected)
+    assert poly_to_json(p) == poly_to_json(expected)
+
+
 def test_json_shape():
     doc = poly_to_json(2 * x1 * xb1 ** 2 + a3)
     assert doc == {
