@@ -216,9 +216,9 @@ def _z(i: int) -> Poly:
     return px(k) if i % 2 else pxb(k)
 
 
-def _word_sum(n2: int, m: int, weight, lo_min: int = 1) -> Poly:
-    """Sum over weakly increasing words (i_1 <= ... <= i_m, letters lo_min..n2)
-    of prod_j weight(i_j, j)."""
+def _word_sum(n2: int, m: int, weight, lo_min: int = 1, first: int = 1) -> Poly:
+    """Sum over weakly increasing words (i_first <= ... <= i_m, letters
+    lo_min..n2) of prod_j weight(i_j, j)."""
     memo: dict = {}
 
     def rec(j: int, lo: int) -> Poly:
@@ -234,7 +234,7 @@ def _word_sum(n2: int, m: int, weight, lo_min: int = 1) -> Poly:
         memo[key] = total
         return total
 
-    return rec(1, lo_min)
+    return rec(first, lo_min)
 
 
 def explicit_h(kind: HKind, n: int, m: int) -> Poly:
@@ -264,28 +264,13 @@ def explicit_h(kind: HKind, n: int, m: int) -> Poly:
         def sp_weight(i, j):
             return _z(i) + pa(i - n + j - 1)
 
-        # Sum over suffix words occupying positions k+1..m with letters >= 3.
-        memo: dict = {}
-
-        def suffix(j: int, lo: int) -> Poly:
-            if j > m:
-                return ONE
-            key = (j, lo)
-            got = memo.get(key)
-            if got is not None:
-                return got
-            total = ZERO
-            for i in range(lo, 2 * n + 1):
-                total = total + sp_weight(i, j) * suffix(j + 1, i)
-            memo[key] = total
-            return total
-
-        total = suffix(1, 3)  # no prefix at all
+        # Words of k letters all 1 (x_1) or all 2 (xb_1), then letters >= 3.
+        total = _word_sum(2 * n, m, sp_weight, 3)  # no prefix at all
         pref_x, pref_xb = ONE, ONE
         for k in range(1, m + 1):
             ak = pa(k + 1 - n)
             pref_x = pref_x * (px(1) + ak)
             pref_xb = pref_xb * (pxb(1) + ak)
-            total = total + (pref_x + pref_xb) * suffix(k + 1, 3)
+            total = total + (pref_x + pref_xb) * _word_sum(2 * n, m, sp_weight, 3, k + 1)
         return poly_reduce_inverses(total)
     raise ValueError(f"explicit_h is not defined for kind {kind}")

@@ -230,11 +230,16 @@ class Poly:
     def __init__(self, terms: Mapping[Mono, int] | None = None):
         """Canonicalise (code, exponent) pairs given in any order: repeated
         codes merge, zero exponents drop, and terms that land on the same
-        monomial add.  A negative exponent raises ValueError."""
+        monomial add.  A coefficient or exponent that is not an int (bool
+        included), or a negative exponent, raises ValueError."""
         clean: dict = {}
         for m, c in (terms or {}).items():
+            if type(c) is not int:
+                raise ValueError(f"coefficient {c!r} is not an int")
             mono: dict = {}
             for code, e in m:
+                if type(e) is not int:
+                    raise ValueError(f"exponent {e!r} on {_var_name(code)} is not an int")
                 if e < 0:
                     raise ValueError(f"negative exponent {e} on {_var_name(code)}")
                 if e:
@@ -1010,9 +1015,9 @@ def poly_to_json(p: Poly) -> dict:
 
 
 def poly_from_json(data: Mapping) -> Poly:
-    """Inverse of poly_to_json."""
+    """Inverse of poly_to_json; the constructor rejects non-int numbers."""
     terms = (
-        (tuple((parse_var(v).code(), int(e)) for v, e in t["monomial"].items()), int(t["coeff"]))
+        (tuple((parse_var(v).code(), e) for v, e in t["monomial"].items()), t["coeff"])
         for t in data["terms"]
     )
     return poly_sum(Poly({m: c}) for m, c in terms)

@@ -17,6 +17,12 @@ subject to the conditions
     T6  if row k contains a k, every k~ in that row
         must sit directly below a k                  (EO).
 
+Each condition relates a row only to itself and the row directly above,
+so enumerate_tableaux works row by row: a level's rows are the sorted
+multisets of its T4 letters (T1) with at most one 0 (T5), one predicate,
+fits, says whether a row may sit under another (T2, T3, T6), and the
+rows that fit under each (level, row above) are found once per call.
+
 Each cell carries a linear weight from the group's table; the weighted
 sums over complete tableau sets reproduce the characters computed by the
 determinantal routes, with a multiplicity 2^zeta in the even-orthogonal
@@ -44,8 +50,8 @@ the tests hold the engine to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Iterable, Iterator, List, Tuple
+from itertools import chain, combinations_with_replacement
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from .characters import _RATIO_GROUPS, Group, make_partition, partition_length
 from .polyring import ONE, Poly, _Layout, pa, poly_reduce_inverses, poly_sum, px, pxb
@@ -101,13 +107,6 @@ class Entry:
 ZERO_ENTRY = Entry(0)
 
 
-def _code(e: Entry, n: int) -> int:
-    """Position in the group's total order (0 is greatest)."""
-    if e.is_zero():
-        return 2 * n + 2
-    return 2 * e.k + (1 if e.barred else 0)
-
-
 @dataclass(frozen=True)
 class Tableau:
     shape: tuple
@@ -144,62 +143,49 @@ def enumerate_tableaux(group: Group, n: int, lam_parts: Iterable[int]) -> List[T
     """
     lam = make_partition(lam_parts, n)
     shape = tuple(p for p in lam if p)
-    alphabet = _alphabet(Group.EO if group in _EO_FAMILY else group, n)
     eo_rules = group in _EO_FAMILY
-    barred_rules = group is not Group.GL
-    # The grid holds int codes (2k for k, 2k+1 for k~, 2n+2 for 0); a row
-    # is mapped back to entries once, when its last cell is placed.
-    letters = [_code(e, n) for e in alphabet]
-    zero = _code(ZERO_ENTRY, n)
-    start = {code: idx for idx, code in enumerate(letters)}
-    entry_of: List[Entry] = [ZERO_ENTRY] * (zero + 1)
-    for e in alphabet:
-        entry_of[_code(e, n)] = e
-    entry = entry_of.__getitem__
-    codes: List[List[int]] = [[0] * w for w in shape]
-    rows: List[tuple] = [()] * len(shape)  # the entries of each completed row
-    cells = [(i, j) for i, w in enumerate(shape) for j in range(w)]
-    out: List[Tableau] = []
+    alphabet = _alphabet(Group.EO if eo_rules else group, n)
+    # A row is a tuple of alphabet positions: k at 2k-2 and k~ at 2k-1
+    # outside GL, and the OO 0 last.
+    zero = alphabet.index(ZERO_ENTRY) if group is Group.OO else None
 
-    def admissible(i: int, j: int, code: int) -> bool:
-        """T2-T6; fill offers only letters that satisfy T1."""
-        row = codes[i]
-        if code == zero:
-            if zero in row[:j]:
-                return False  # T5
-        else:
-            k = code >> 1
-            if barred_rules and k < i + 1:
-                return False  # T4
-            if i:
-                above = codes[i - 1][j]
-                if above == zero or above >= code:
-                    return False  # T2 + T3 (strict below a letter, never below 0)
-            if eo_rules and code & 1 and k == i + 1:
-                if 2 * k in row[:j]:
-                    if i == 0 or codes[i - 1][j] != 2 * k:
-                        return False  # T6
+    def level_rows(k: int, width: int) -> List[Tuple[tuple, tuple]]:
+        """(positions, entries) of the level-k rows under T1, T4, T5, in lex order."""
+        lo = 0 if group is Group.GL else 2 * k - 2  # T4
+        return [
+            (row, tuple(map(alphabet.__getitem__, row)))
+            for row in combinations_with_replacement(range(lo, len(alphabet)), width)  # T1
+            if row.count(zero) < 2  # T5
+        ]
+
+    def fits(above: tuple, row: tuple, k: int) -> bool:
+        """T2, T3 and T6 between a row at level k and the row above it."""
+        for a, r in zip(above, row):
+            if r != zero and (a == zero or a >= r):
+                return False  # T2 + T3: a letter only strictly below a letter; 0 below anything
+        if eo_rules and 2 * k - 2 in row:  # T6: with a k in row k, every k~ sits below a k
+            return all(a == 2 * k - 2 for a, r in zip(above, row) if r == 2 * k - 1)
         return True
 
-    def fill(pos: int) -> None:
-        if pos == len(cells):
-            out.append(Tableau(shape, tuple(rows)))
-            return
-        i, j = cells[pos]
-        row = codes[i]
-        last = j == len(row) - 1
-        # T1: a cell's letters start at its left neighbour's.
-        for code in letters[start[row[j - 1]]:] if j else letters:
-            if admissible(i, j, code):
-                row[j] = code
-                if last:
-                    rows[i] = tuple(map(entry, row))
-                fill(pos + 1)
+    candidates = [level_rows(k, w) for k, w in enumerate(shape, start=1)]
+    successors: Dict[Tuple[int, tuple], List[Tuple[tuple, tuple]]] = {}
+    out: List[Tableau] = []
 
-    if cells:
-        fill(0)
-    else:
-        out.append(Tableau((), ()))
+    def extend(k: int, above: tuple, rows: tuple) -> None:
+        if k > len(shape):
+            out.append(Tableau(shape, rows))
+            return
+        fitting = successors.get((k, above))
+        if fitting is None:
+            fitting = successors[k, above] = [
+                c for c in candidates[k - 1] if fits(above, c[0], k)
+            ]
+        for row, entries in fitting:
+            extend(k + 1, row, rows + (entries,))
+
+    # Level 1 sits under a virtual row of position -1: below it T2 and T3
+    # always hold, and T6 rules out a 1~ beside a 1.
+    extend(1, (-1,) * max(shape, default=0), ())
     return out
 
 

@@ -553,6 +553,33 @@ def test_constructor_gives_canonical_form(given, expected):
     assert poly_to_json(p) == poly_to_json(expected)
 
 
+@pytest.mark.parametrize(
+    "given",
+    [
+        lambda: Poly({(): 0.5}),
+        lambda: Poly({(): 2.0}),
+        lambda: Poly({(): True}),
+        lambda: Poly({((_X2, 1.5),): 1}),
+        lambda: poly_from_json({"terms": [{"coeff": 1.5, "monomial": {"x1": 2}}]}),
+        lambda: poly_from_json({"terms": [{"coeff": 1, "monomial": {"x1": 2.7}}]}),
+        lambda: poly_from_json({"terms": [{"coeff": "3", "monomial": {}}]}),
+    ],
+    ids=[
+        "fraction-coeff",
+        "integral-float-coeff",
+        "bool-coeff",
+        "fraction-exponent",
+        "json-fraction-coeff",
+        "json-fraction-exponent",
+        "json-string-coeff",
+    ],
+)
+def test_non_integer_numbers_are_rejected(given):
+    """The ring is over the integers: no number is rounded or coerced."""
+    with pytest.raises(ValueError):
+        given()
+
+
 def test_json_shape():
     doc = poly_to_json(2 * x1 * xb1 ** 2 + a3)
     assert doc == {

@@ -154,11 +154,21 @@ def _brute_force(group, n, lam):
         (Group.OO, 2, (1, 1)),
         (Group.EO, 2, (3,)),
         (Group.EO, 2, (2, 2)),
+        (Group.EO, 3, (2, 2, 1)),
+        (Group.OO, 2, (2, 2)),
+        (Group.SP, 3, (2, 1, 1)),
+        (Group.GL, 3, (2, 2)),
     ],
 )
 def test_enumeration_matches_brute_force(group, n, lam):
     """Exactly the valid fillings, in row-major lexicographic order."""
     assert enumerate_tableaux(group, n, lam) == _brute_force(group, n, lam)
+
+
+@pytest.mark.parametrize("group", [Group.EO_DIFF, Group.SO_EVEN_PLUS, Group.SO_EVEN_MINUS])
+def test_even_orthogonal_family_enumerates_the_eo_set(group):
+    for n, lam in ((2, (2, 2)), (3, (2, 2, 1)), (3, (2, 1, 0))):
+        assert enumerate_tableaux(group, n, lam) == enumerate_tableaux(Group.EO, n, lam)
 
 
 def test_enumeration_is_deterministic():
@@ -287,7 +297,9 @@ def test_gl_worked_example_weight():
         [E(2), E(3), E(3)],
         [E(4), E(4), E(4)],
     )
-    assert t in enumerate_tableaux(Group.GL, 4, (4, 3, 3))
+    ts = enumerate_tableaux(Group.GL, 4, (4, 3, 3))
+    assert len(ts) == 70
+    assert t in ts
     expected = (
         (px(1) + pa(1)) * (px(1) + pa(2)) * (px(2) + pa(4)) * (px(4) + pa(7))
         * (px(2) + pa(1)) * (px(3) + pa(3)) * (px(3) + pa(4))
@@ -302,7 +314,9 @@ def test_sp_worked_example_weight():
         [E(3, barred=True), E(4), E(4)],
         [E(4), E(4, barred=True), E(4, barred=True)],
     )
-    assert t in enumerate_tableaux(Group.SP, 4, (4, 3, 3))
+    ts = enumerate_tableaux(Group.SP, 4, (4, 3, 3))
+    assert len(ts) == 42042
+    assert t in ts
     expected = (
         px(1) * pxb(1) * (px(2) + pa(1)) * (pxb(4) + pa(7))
         * (pxb(3) + pa(1)) * (px(4) + pa(3)) * (px(4) + pa(4))
@@ -320,7 +334,9 @@ def test_oo_worked_example_weight():
         [E(3), E(4), ZERO_ENTRY],
         [E(4), E(4, barred=True), ZERO_ENTRY],
     )
-    assert t in enumerate_tableaux(Group.OO, 4, (4, 3, 3))
+    ts = enumerate_tableaux(Group.OO, 4, (4, 3, 3))
+    assert len(ts) == 128700
+    assert t in ts
     expected = (
         px(1) * pxb(1) * (px(2) + pa(2)) * (pxb(4) + pa(8))
         * (px(3) + pa(1)) * (px(4) + pa(4)) * (ONE - pa(6))
@@ -337,7 +353,9 @@ def test_eo_worked_example_weight_and_stats():
         [b(3), E(4), E(4), b(4)],
         [E(4), b(4), b(4)],
     )
-    assert t in enumerate_tableaux(Group.EO, 4, (5, 5, 4, 3))
+    ts = enumerate_tableaux(Group.EO, 4, (5, 5, 4, 3))
+    assert len(ts) == 177898
+    assert t in ts
     expected = (
         px(2) * px(2) * (pxb(2) + pa(2)) * (pxb(2) + pa(3)) * (px(4) + pa(7))
         * pxb(2) * (px(3) + pa(1)) * (px(3) + pa(2)) * (pxb(3) + pa(4)) * (pxb(4) + pa(7))
