@@ -118,10 +118,14 @@ def _parse_lambda(text: str, rank: int) -> tuple:
 def _parse_eval(pairs: Sequence[str]) -> dict:
     out = {}
     for item in pairs:
-        name, _, value = item.partition("=")
-        if not _ or not value.lstrip("-").isdigit():
-            raise ValueError(f"--eval wants var=int, got {item!r}")
-        out[parse_var(name)] = int(value)
+        name, eq, value = item.partition("=")
+        try:
+            if not eq or not value.lstrip("-").isdigit():
+                raise ValueError
+            number = int(value)  # isdigit also passes "--5" and "²"
+        except ValueError:
+            raise ValueError(f"--eval wants var=int, got {item!r}") from None
+        out[parse_var(name)] = number
     return out
 
 

@@ -18,40 +18,52 @@ subject to the conditions
         must sit directly below a k                  (EO).
 
 Each condition relates a row only to itself and the row directly above,
-so enumerate_tableaux works row by row: a level's rows are the sorted
-multisets of its T4 letters (T1) with at most one 0 (T5), one predicate,
-fits, says whether a row may sit under another (T2, T3, T6), and the
-rows that fit under each (level, row above) are found once per call.
+so the conditions are one graph on rows, _row_graph: a level's rows are
+the sorted multisets of its T4 letters (T1) with at most one 0 (T5), one
+predicate, fits, says whether a row may sit under another (T2, T3, T6),
+and the rows that fit under each (level, row above) are found once per
+graph.  enumerate_tableaux walks the graph depth first.
 
 Each cell carries a linear weight from the group's table; the weighted
 sums over complete tableau sets reproduce the characters computed by the
 determinantal routes, with a multiplicity 2^zeta in the even-orthogonal
 case.  The even-orthogonal difference and plus/minus sums reuse the same
-tableau set with first-column restrictions and signs.  All of these are
-one sum, _packed_tableaux, with a coefficient rule per group.
+tableau set with first-column restrictions and signs.  Every coefficient
+rule is local too: a factor of each row that depends only on the first
+letters of that row and of the row above (_coefficient_rules).
 
 The sums run on packed exponents (polyring._Layout; Monagan and Pearce,
 CASC 2007).  Each call packs every factor _cell_weight gives a cell once,
 under one layout whose degree bound is the sum over cells of the largest
 factor degree.  Every cell factor is linear (x + a, xb + a, 1 - a, or a
 bare letter when the a-index is <= 0), so the bound is at most |lambda|,
-and no weight or sum of weights has a term of higher degree.  A weight
-is the product of its cells' packed factors, each monomial product one
-int add.  group_tableau_sum packs under the paired layout, where x_k and
-xb_k share one signed field, so x_k*xb_k cancels inside those adds:
-coefficient times weight accumulates in one packed dict that is already
-in the reduced normal form of every other character-level value, and is
-unpacked once.  weighted_tableaux lists each weight under the formal
-layout, as the literal product of its cells, matched pairs kept.
-weight() stays the literal Poly product of the cell factors, the oracle
-the tests hold the engine to.
+and no weight or sum of weights has a term of higher degree.
+
+group_tableau_sum, behind tableau_sum, diff_tableau_sum and
+so_even_tableau_sum, never forms a tableau's weight.  It is a transfer
+sum over rows: S_k(r), the sum of coefficient times weight over the
+partial tableaux whose row k is r, is w_k(r) times the sum of c(r', r) *
+S_{k-1}(r') over the rows r' that may sit above r, and the character is
+the sum of the last level's S.  It runs on the paired layout, where x_k
+and xb_k share one signed field, so x_k*xb_k cancels inside the adds
+that multiply monomials; the sum comes out in the reduced normal form of
+every other character-level value and is unpacked once.
+
+weighted_tableaux (the flc tableaux listing) keeps one weight per
+tableau: it walks enumerate_tableaux and lists each weight under the
+formal layout, as the literal product of its cells, matched pairs kept.
+weight() stays the literal Poly product of the cell factors, and with
+enumerate_tableaux and tab_stats, is_diff_tableau and
+so_even_coefficient it is the per-tableau oracle the tests hold the
+transfer sum to.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement
-from typing import Dict, Iterable, Iterator, List, Tuple
+from itertools import chain, combinations_with_replacement, count, islice
+from math import prod
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .characters import _RATIO_GROUPS, Group, make_partition, partition_length
 from .polyring import ONE, Poly, _Layout, pa, poly_reduce_inverses, poly_sum, px, pxb
@@ -134,19 +146,20 @@ def _alphabet(group: Group, n: int) -> List[Entry]:
     return out
 
 
-def enumerate_tableaux(group: Group, n: int, lam_parts: Iterable[int]) -> List[Tableau]:
-    """All tableaux for the group, rank and shape, in row-major lex order.
+def _row_graph(group: Group, n: int, shape: tuple) -> Tuple[tuple, Callable[[int, tuple], list]]:
+    """The conditions T1-T6 as a graph on the rows of a shape (nonzero parts).
 
-    The even-orthogonal difference and plus/minus groups share the EO
-    tableau set; their extra first-column selections happen in the
-    summing operations.
+    A row is a tuple of alphabet positions: k at 2k-2 and k~ at 2k-1
+    outside GL, and the OO 0 last.  Returns (top, successors): top is a
+    virtual row of position -1 above level 1, under which T2 and T3 always
+    hold and T6 rules out a 1~ beside a 1; successors(k, above) lists the
+    (positions, entries) of the level-k rows that may sit under the row
+    ``above`` and that some rows below complete to a tableau, in lex
+    order, each list found once per graph.  So every row a walk from top
+    reaches lies on a whole tableau, and no partial tableau is a dead end.
     """
-    lam = make_partition(lam_parts, n)
-    shape = tuple(p for p in lam if p)
     eo_rules = group in _EO_FAMILY
     alphabet = _alphabet(Group.EO if eo_rules else group, n)
-    # A row is a tuple of alphabet positions: k at 2k-2 and k~ at 2k-1
-    # outside GL, and the OO 0 last.
     zero = alphabet.index(ZERO_ENTRY) if group is Group.OO else None
 
     def level_rows(k: int, width: int) -> List[Tuple[tuple, tuple]]:
@@ -168,24 +181,41 @@ def enumerate_tableaux(group: Group, n: int, lam_parts: Iterable[int]) -> List[T
         return True
 
     candidates = [level_rows(k, w) for k, w in enumerate(shape, start=1)]
-    successors: Dict[Tuple[int, tuple], List[Tuple[tuple, tuple]]] = {}
+    lists: Dict[Tuple[int, tuple], list] = {}
+
+    def successors(k: int, above: tuple) -> list:
+        fitting = lists.get((k, above))
+        if fitting is None:
+            fitting = lists[k, above] = [
+                c
+                for c in candidates[k - 1]
+                if fits(above, c[0], k) and (k == len(shape) or successors(k + 1, c[0]))
+            ]
+        return fitting
+
+    return (-1,) * max(shape, default=0), successors
+
+
+def enumerate_tableaux(group: Group, n: int, lam_parts: Iterable[int]) -> List[Tableau]:
+    """All tableaux for the group, rank and shape, in row-major lex order.
+
+    The even-orthogonal difference and plus/minus groups share the EO
+    tableau set; their extra first-column selections happen in the
+    summing operations.
+    """
+    lam = make_partition(lam_parts, n)
+    shape = tuple(p for p in lam if p)
+    top, successors = _row_graph(group, n, shape)
     out: List[Tableau] = []
 
     def extend(k: int, above: tuple, rows: tuple) -> None:
         if k > len(shape):
             out.append(Tableau(shape, rows))
             return
-        fitting = successors.get((k, above))
-        if fitting is None:
-            fitting = successors[k, above] = [
-                c for c in candidates[k - 1] if fits(above, c[0], k)
-            ]
-        for row, entries in fitting:
+        for row, entries in successors(k, above):
             extend(k + 1, row, rows + (entries,))
 
-    # Level 1 sits under a virtual row of position -1: below it T2 and T3
-    # always hold, and T6 rules out a 1~ beside a 1.
-    extend(1, (-1,) * max(shape, default=0), ())
+    extend(1, top, ())
     return out
 
 
@@ -257,60 +287,90 @@ def so_even_coefficient(t: Tableau, plus: bool) -> int:
     return (1 + sign) // 2 if plus else (1 - sign) // 2
 
 
-def _packed_tableaux(
+_Rule = Callable[[int, int, int], int]
+
+
+def _coefficient_rules(group: Group, full: bool) -> List[Tuple[int, _Rule]]:
+    """The coefficient rules of the sums, the only place they are written down.
+
+    A rule gives the row at level k a factor rule(k, a, r), where r is the
+    position of the row's first letter and a that of the row above (-1 at
+    level 1); a tableau's value under a rule is the product of its rows'
+    factors.  Its coefficient is the sum of sign * value over the group's
+    (sign, rule) pairs, halved when there are two (_half):
+
+        GL, SP, OO           1
+        EO                   2 where k opens row k-1 and k~ opens row k,
+                             else 1: 2^zeta
+        EO_DIFF              (-1)^[row k opens with k~], 0 unless row k
+                             opens with k or k~: (-1)^bar on the
+                             is_diff_tableau set
+        SO_EVEN_PLUS/MINUS   (2^zeta +/- [zeta = 0] (-1)^bar) / 2, which is
+                             so_even_coefficient, when lambda has n nonzero
+                             parts; otherwise there is no split and the
+                             plain o(2n) rule 2^zeta applies
+    """
+
+    def zeta(k: int, a: int, r: int) -> int:
+        return 2 if a == 2 * k - 2 and r == 2 * k - 1 else 1
+
+    def zeta_free_sign(k: int, a: int, r: int) -> int:
+        return 0 if a == 2 * k - 2 and r == 2 * k - 1 else 1 - 2 * (r & 1)
+
+    def first_column_sign(k: int, a: int, r: int) -> int:
+        return 1 - 2 * (r & 1) if r >> 1 == k - 1 else 0
+
+    if group is Group.EO_DIFF:
+        return [(1, first_column_sign)]
+    if full and group in (Group.SO_EVEN_PLUS, Group.SO_EVEN_MINUS):
+        return [(1, zeta), (1 if group is Group.SO_EVEN_PLUS else -1, zeta_free_sign)]
+    if group in _EO_FAMILY:
+        return [(1, zeta)]
+    return [(1, lambda k, a, r: 1)]
+
+
+def _half(c: int) -> int:
+    """c / 2 for the so(2n) split, exact because each tableau's
+    2^zeta +/- [zeta = 0] (-1)^bar is even."""
+    q, odd = divmod(c, 2)
+    if odd:
+        raise ArithmeticError(f"so(2n) split of an odd coefficient {c}")
+    return q
+
+
+def _setup(
     group: Group, n: int, lam_parts: Iterable[int], paired: bool
-) -> Tuple[_Layout, Iterator[Tuple[Tableau, int, dict]]]:
-    """The engine: a layout and the (tableau, coefficient, packed weight)
-    triples of the group's sum, packed weights under that layout, which
-    is paired or formal as ``paired`` says (see polyring._Layout).
+) -> Tuple[tuple, List[Entry], List[Tuple[int, _Rule]], _Layout, List[list]]:
+    """What both sums start from: the shape (the nonzero parts), the
+    alphabet, the coefficient rules, and a layout, paired or formal as
+    ``paired`` says (see polyring._Layout), with every factor _cell_weight
+    gives a cell packed under it, indexed by alphabet position, one list
+    of cells per level.
 
-    The coefficient rules, the only place they are written down:
-
-        GL, SP, OO, EO           2^zeta
-        EO_DIFF                  (-1)^bar, first column k or k~ at level k
-        SO_EVEN_PLUS/MINUS       so_even_coefficient, when lambda has n
-                                 nonzero parts; otherwise there is no split
-                                 and the plain o(2n) rule 2^zeta applies
-
-    Tableaux with coefficient 0 are left out.  Raises InvalidShape for
-    EO_DIFF with fewer than n nonzero parts.  Every factor _cell_weight
-    gives a cell is packed once, by _Layout.for_products with one group
-    of factors per cell, so the degree bound is the sum over cells of the
-    cell's largest factor degree, i.e. at most |lambda|; each weight
-    takes one factor per cell, so no term of a weight, or of a sum of
-    weights, exceeds it.
+    Raises InvalidShape for EO_DIFF with fewer than n nonzero parts.  The
+    factors are packed by _Layout.for_products with one group of factors
+    per cell, so the degree bound is the sum over cells of the cell's
+    largest factor degree, i.e. at most |lambda|; a weight, or the weight
+    of a partial tableau, takes at most one factor per cell, so no term
+    of it, or of any sum of such weights, exceeds the bound.
     """
     lam = make_partition(lam_parts, n)
     full = partition_length(lam) == n
     if group is Group.EO_DIFF and not full:
         raise InvalidShape(f"difference sum needs n={n} nonzero parts, got {lam}")
-    split = full and group in (Group.SO_EVEN_PLUS, Group.SO_EVEN_MINUS)
-    tableaux = enumerate_tableaux(group, n, lam)
+    shape = tuple(p for p in lam if p)
     alphabet = _alphabet(Group.EO if group in _EO_FAMILY else group, n)
     layout, packed = _Layout.for_products(
         (
             [_cell_weight(e, i, j, group, n) for e in alphabet]
-            for i, w in enumerate(lam, start=1)
+            for i, w in enumerate(shape, start=1)
             for j in range(1, w + 1)
         ),
         paired,
     )
-    cells = [dict(zip(alphabet, factors)) for factors in packed]
-
-    def triples() -> Iterator[Tuple[Tableau, int, dict]]:
-        for t in tableaux:
-            if group is Group.EO_DIFF:
-                c = (-1) ** _bar_count(t) if is_diff_tableau(t, n) else 0
-            elif split:
-                c = so_even_coefficient(t, group is Group.SO_EVEN_PLUS)
-            else:
-                c = 1 << tab_stats(t, group).zeta
-            if c:
-                yield t, c, layout.product(
-                    cell[e] for cell, e in zip(cells, chain.from_iterable(t.rows))
-                )
-
-    return layout, triples()
+    cells = iter(packed)
+    levels = [list(islice(cells, w)) for w in shape]
+    return shape, alphabet, _coefficient_rules(group, full), layout, levels
 
 
 def weighted_tableaux(
@@ -318,14 +378,28 @@ def weighted_tableaux(
 ) -> Iterator[Tuple[Tableau, int, Poly]]:
     """Yield (tableau, coefficient, weight) for every tableau in the group's sum.
 
-    The engine's triples with each weight unpacked; see _packed_tableaux
-    for the coefficient rules.  For EO_DIFF with fewer than n nonzero
-    parts, iterating raises InvalidShape.  The triples are yielded, not
-    listed, so a caller never needs to hold every weight at once.
+    The tableaux of enumerate_tableaux, each with its coefficient (see
+    _coefficient_rules) and its weight formed on the formal layout and
+    unpacked; tableaux with coefficient 0 are left out.  For EO_DIFF with
+    fewer than n nonzero parts, iterating raises InvalidShape.  The
+    triples are yielded, not listed, so a caller never needs to hold
+    every weight at once.
     """
-    layout, triples = _packed_tableaux(group, n, lam_parts, paired=False)
-    for t, c, w in triples:
-        yield t, c, layout.to_poly(w)
+    shape, alphabet, rules, layout, levels = _setup(group, n, lam_parts, paired=False)
+    position = {e: p for p, e in enumerate(alphabet)}
+    cells = list(chain.from_iterable(levels))
+    for t in enumerate_tableaux(group, n, shape):
+        firsts = [position[row[0]] for row in t.rows]
+        aboves = [-1, *firsts]
+        c = sum(sign * prod(map(rule, count(1), aboves, firsts)) for sign, rule in rules)
+        if len(rules) == 2:
+            c = _half(c)
+        if c:
+            yield t, c, layout.to_poly(
+                layout.product(
+                    cell[position[e]] for cell, e in zip(cells, chain.from_iterable(t.rows))
+                )
+            )
 
 
 def weighted_sum(triples: Iterable[Tuple[Tableau, int, Poly]]) -> Poly:
@@ -333,16 +407,95 @@ def weighted_sum(triples: Iterable[Tuple[Tableau, int, Poly]]) -> Poly:
     return poly_reduce_inverses(poly_sum(c * w for _, c, w in triples))
 
 
+def _transfer_sum(
+    top: tuple,
+    successors: Callable[[int, tuple], list],
+    levels: List[list],
+    rule: _Rule,
+    scale: int,
+    total: dict,
+) -> None:
+    """Add scale * the packed sum of value * weight over the row graph's
+    tableaux into ``total``.
+
+    S_k(r), the sum over the partial tableaux whose row k is r, is
+    w_k(r) * sum of rule(k, r'[0], r[0]) * S_{k-1}(r') over the rows r'
+    above r.  Each S_{k-1} is popped as it is spread into the level-k
+    accumulators, and each accumulator is popped as it is multiplied by
+    its row's cell factors, one binomial at a time.  The last level has no
+    accumulators: each S of the level above is folded into the total as
+    soon as it is formed, times its fan, the sum of rule * w over the
+    last rows that may sit under it.  So at most one level's sums are
+    alive at once, and of the level above the last only one sum.
+    """
+    depth = len(levels)
+    if not depth:
+        total[0] = total.get(0, 0) + scale
+        return
+    mul_add = _Layout.mul_add
+    weights: dict = {}  # a last row's weight, formed once: it sits under many rows
+
+    def fold(above: tuple, s: dict) -> None:
+        fan: dict = {}
+        get = fan.get
+        for row, _ in successors(depth, above):
+            c = rule(depth, above[0], row[0])
+            if not c:
+                continue
+            w = weights.get(row)
+            if w is None:
+                w = weights[row] = _Layout.product(cell[p] for cell, p in zip(levels[-1], row))
+            for m, v in w.items():
+                fan[m] = get(m, 0) + c * v
+        if len(fan) < len(s):
+            mul_add(total, fan, s, scale)
+        else:
+            mul_add(total, s, fan, scale)
+
+    if depth == 1:
+        fold(top, {0: 1})
+    level = {top: {0: 1}}
+    for k, cells in enumerate(levels[:-1], start=1):
+        acc: dict = {}
+        while level:
+            above, s = level.popitem()
+            a = above[0]
+            for row, _ in successors(k, above):
+                c = rule(k, a, row[0])
+                if not c:
+                    continue
+                into = acc.setdefault(row, {})
+                get = into.get
+                for m, v in s.items():
+                    into[m] = get(m, 0) + c * v
+        while acc:
+            row, s = acc.popitem()
+            for cell, p in zip(cells, row):
+                out: dict = {}
+                mul_add(out, cell[p], s)
+                s = out
+            if k == depth - 1:
+                fold(row, s)
+            else:
+                level[row] = s
+
+
 def group_tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
     """The weighted tableau sum of any of the seven groups.
 
-    The engine's weights are formed and summed on the paired layout, so
-    the sum comes out reduced and is unpacked once.  Raises InvalidShape
+    One transfer sum over the row graph per coefficient rule, on the
+    paired layout, so the sum comes out reduced and is unpacked once; no
+    tableau is enumerated and no tableau's weight is formed.  Raises InvalidShape
     for EO_DIFF with fewer than n nonzero parts; SO_EVEN_PLUS/MINUS with
     fewer than n nonzero parts get the plain 2^zeta sum.
     """
-    layout, triples = _packed_tableaux(group, n, lam_parts, paired=True)
-    total = layout.linear_combination((c, w) for _, c, w in triples)
+    shape, _, rules, layout, levels = _setup(group, n, lam_parts, paired=True)
+    top, successors = _row_graph(group, n, shape)
+    total: dict = {}
+    for sign, rule in rules:
+        _transfer_sum(top, successors, levels, rule, sign, total)
+    if len(rules) == 2:
+        total = {m: _half(c) for m, c in total.items()}
     return layout.to_poly(total)
 
 

@@ -279,11 +279,14 @@ def test_rank_zero_exits_one(capsys, command):
 
 
 def test_bad_eval_pair_exits_one(capsys):
-    code, _, err = run_cli(
-        capsys, "char", "--group", "gl", "--rank", "1", "--lambda", "1", "--eval", "x1"
-    )
-    assert code == 1
-    assert "--eval" in err
+    """"--5" and a superscript digit pass str.isdigit but not int(); every
+    bad value gets the same --eval message."""
+    for pair in ("x1", "x1=--5", "x1=\u00b2"):
+        code, _, err = run_cli(
+            capsys, "char", "--group", "gl", "--rank", "1", "--lambda", "1", "--eval", pair
+        )
+        assert code == 1, pair
+        assert f"--eval wants var=int, got {pair!r}" in err, pair
 
 
 # ---------------------------------------------------------------------------

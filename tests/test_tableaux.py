@@ -475,32 +475,93 @@ def test_packed_engine_matches_the_poly_oracle(group):
 
 
 def test_injected_weight_fault_reaches_sp_and_so_even_sums(monkeypatch):
-    """Negative control: one skewed SP letter and one skewed even-orthogonal
-    letter must change the sums, right after the same sums were taken with
+    """Negative control: one skewed SP letter, one skewed even-orthogonal
+    letter and a skewed OO 0 letter (weight 1 - a) must change the sums,
+    the difference sum included, right after the same sums were taken with
     the true factors, so no factor may be kept from one call to the next."""
     import flc.tableaux
 
     lam = (2, 1)
-    sp = char_jacobi_trudi(char_spec(Group.SP, 2, lam))
-    eo = char_jacobi_trudi(char_spec(Group.EO, 2, lam))
-    plus = char_so_even(char_spec(Group.SO_EVEN_PLUS, 2, lam))
-    assert tableau_sum(Group.SP, 2, lam) == sp
-    assert tableau_sum(Group.EO, 2, lam) == eo
-    assert so_even_tableau_sum(2, lam, True) == plus
+    jt = lambda group: char_jacobi_trudi(char_spec(group, 2, lam))
+    sums = {
+        "sp": (lambda: tableau_sum(Group.SP, 2, lam), jt(Group.SP)),
+        "eo": (lambda: tableau_sum(Group.EO, 2, lam), jt(Group.EO)),
+        "oo": (lambda: tableau_sum(Group.OO, 2, lam), jt(Group.OO)),
+        "plus": (
+            lambda: so_even_tableau_sum(2, lam, True),
+            char_so_even(char_spec(Group.SO_EVEN_PLUS, 2, lam)),
+        ),
+        "diff": (lambda: diff_tableau_sum(2, lam), char_raw_diff(2, lam)),
+    }
+    for name, (tableau_route, other_route) in sums.items():
+        assert tableau_route() == other_route, name
     true_weight = flc.tableaux._cell_weight
 
     def skewed(e, i, j, group, n):
         # The factor of the cell to the right: the a-index moves up by one.
-        if (group is Group.SP and e == E(1, barred=True)) or (
-            group not in (Group.GL, Group.SP, Group.OO) and e == E(2)
+        if (
+            (group is Group.SP and e == E(1, barred=True))
+            or (group is Group.OO and e == ZERO_ENTRY)
+            or (group not in (Group.GL, Group.SP, Group.OO) and e == E(2))
         ):
             return true_weight(e, i, j + 1, group, n)
         return true_weight(e, i, j, group, n)
 
     monkeypatch.setattr(flc.tableaux, "_cell_weight", skewed)
-    assert tableau_sum(Group.SP, 2, lam) != sp
-    assert tableau_sum(Group.EO, 2, lam) != eo
-    assert so_even_tableau_sum(2, lam, True) != plus
+    for name, (tableau_route, other_route) in sums.items():
+        assert tableau_route() != other_route, name
+
+
+def _oracle_coefficient(t, group, n):
+    """A tableau's coefficient from the public per-tableau statistics alone."""
+    if group is Group.EO_DIFF:
+        return (-1) ** tab_stats(t, group).bar if is_diff_tableau(t, n) else 0
+    if group in _SO_EVEN and len(t.rows) == n:
+        return so_even_coefficient(t, group is Group.SO_EVEN_PLUS)
+    return 1 << tab_stats(t, group).zeta
+
+
+# n = 4 with (1, 1, 1, 1) and (2, 1, 1, 1) are the first shapes with
+# zeta = 2 (2, 2~, 4, 4~ down column 1), where the so(2n) coefficient is 2.
+_TRANSFER_CASES = _ENGINE_CASES + [(4, (2, 1, 1, 1))]
+
+
+@pytest.mark.parametrize("group", list(Group))
+def test_transfer_sum_matches_the_per_tableau_oracle(group):
+    """group_tableau_sum, the row-by-row transfer sum, against the sum of
+    coefficient * weight(t) over enumerate_tableaux, with the coefficient
+    from tab_stats, is_diff_tableau or so_even_coefficient; the listing's
+    coefficients against the same oracle."""
+    coefficients = set()
+    for n, lam in _TRANSFER_CASES:
+        if group is Group.EO_DIFF and len([p for p in lam if p]) < n:
+            continue  # InvalidShape: test_packed_engine_matches_the_poly_oracle
+        listed = [
+            (t, c)
+            for t in enumerate_tableaux(group, n, lam)
+            if (c := _oracle_coefficient(t, group, n))
+        ]
+        expected = poly_reduce_inverses(poly_sum(c * weight(t, group, n) for t, c in listed))
+        assert group_tableau_sum(group, n, lam) == expected, (n, lam)
+        assert [(t, c) for t, c, _ in weighted_tableaux(group, n, lam)] == listed, (n, lam)
+        coefficients.update(c for _, c in listed)
+    if group in _SO_EVEN:
+        assert coefficients == {1, 2}
+    elif group is Group.EO_DIFF:
+        assert coefficients == {-1, 1}
+    elif group in BASE_GROUPS[:3]:
+        assert coefficients == {1}
+    else:
+        assert coefficients == {1, 2, 4}
+
+
+def test_rank_four_oo_tableau_sum():
+    """A whole rank-4 character from the transfer sum: OO n=4
+    lambda=(3,3,3,3), which has 111,293 terms, evaluates at a = 0 and
+    every letter 1 to the so(9) dimension."""
+    p = tableau_sum(Group.OO, 4, (3, 3, 3, 3))
+    assert len(p.terms) == 111_293
+    assert units_eval(p) == oracles.dim_so_odd(4, (3, 3, 3, 3)) == 28_314
 
 
 # ---------------------------------------------------------------------------
