@@ -9,7 +9,7 @@ alphabet a_1, a_2, ...  It can be computed as
   ``char_raw_diff`` the difference character o' from the entries
   (x_i|a)^m - (xb_i|a)^m).  All three run one pipeline,
   ``_ratio_character``, which divides the numerator determinant exactly
-  by the denominator determinant's product form, or
+  by the denominator determinant's binomial factors, or
 * a flagged Jacobi-Trudi determinant of h functions (``char_jacobi_trudi``),
   which involves no division at all.
 
@@ -43,13 +43,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Iterable, List, Sequence
 
 from .hfuncs import _CACHE_SIZE, HKind, VarSpec, factorial_power, h
 from .polyring import (
     ONE,
     Poly,
+    _Layout,
     X,
     XB,
     eval_integer,
@@ -57,7 +58,6 @@ from .polyring import (
     map_s_to_x,
     poly_exact_div_inverses_many,
     poly_halve,
-    poly_reduce_inverses,
     poly_substitute,
     px,
     pxb,
@@ -183,32 +183,33 @@ def _alt_entry(group: Group, i: int, m: int) -> Poly:
     return entry
 
 
-def _denominator_factors(group: Group, n: int) -> list:
-    if group is Group.GL:
-        return [px(i) - px(j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    if group is Group.SP:
-        out = [px(i) - pxb(i) for i in range(1, n + 1)]
-        out.extend(
-            px(i) + pxb(i) - px(j) - pxb(j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        )
-        return out
+def _pair_letters(group: Group) -> tuple:
+    """u_i and ub_i, the two letters of pair i in the denominator's
+    factors: s_i^2 and sb_i^2 for OO, x_i and xb_i otherwise."""
     if group is Group.OO:
-        out = [ps(i) - psb(i) for i in range(1, n + 1)]
-        out.extend(
-            ps(i) * ps(i) + psb(i) * psb(i) - ps(j) * ps(j) - psb(j) * psb(j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        )
-        return out
-    if group is Group.EO:
-        return [
-            px(i) + pxb(i) - px(j) - pxb(j)
-            for i in range(1, n + 1)
-            for j in range(i + 1, n + 1)
-        ]
-    raise ValueError(f"no denominator product for group {group}")
+        return (lambda i: ps(i) * ps(i)), (lambda i: psb(i) * psb(i))
+    return px, pxb
+
+
+def _own_pair_factors(group: Group, n: int) -> list:
+    if group is Group.SP:
+        return [px(i) - pxb(i) for i in range(1, n + 1)]
+    if group is Group.OO:
+        return [ps(i) - psb(i) for i in range(1, n + 1)]
+    return []
+
+
+def _denominator_factors(group: Group, n: int) -> list:
+    """The factors of the denominator's product form: SP's x_i - xb_i or
+    OO's s_i - sb_i, then for each i < j GL's x_i - x_j or the cross
+    factor u_i + ub_i - u_j - ub_j."""
+    if group not in _RATIO_GROUPS:
+        raise ValueError(f"no denominator product for group {group}")
+    u, ub = _pair_letters(group)
+    out = _own_pair_factors(group, n)
+    for i, j in combinations(range(1, n + 1), 2):
+        out.append(u(i) - u(j) if group is Group.GL else u(i) + ub(i) - u(j) - ub(j))
+    return out
 
 
 def weyl_denominator_product(group: Group, n: int) -> Poly:
@@ -224,10 +225,15 @@ _ENTRY_FN = {"raw": _raw_entry, "alternant": _alt_entry}
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _denominator_info(group: Group, n: int, route: str) -> tuple:
-    """Product-form factors of the denominator, and whether they match it.
+    """The denominator as binomial factors, and whether they match it.
+
+    Modulo the pairing u_i*ub_i = 1 each cross factor splits into two
+    binomials, u_i + ub_i - u_j - ub_j = (u_i - u_j)(1 - ub_i*ub_j); the
+    other factors are binomials already.  So ``poly_exact_div_inverses_many``
+    divides by two-term factors only, which its sweep serves.
 
     ``matches`` records that the reduced (EO: halved) denominator
-    determinant equals the reduced product of the factors, so the ratio
+    determinant equals the reduced product of the binomials, so the ratio
     can divide factor by factor.  Cached: the denominator of a ratio
     character depends only on the group, the rank and the route.
     """
@@ -243,9 +249,15 @@ def _denominator_info(group: Group, n: int, route: str) -> tuple:
     # which are EO's whole denominator (for OO in the x-letters too).
     cross_only = route == "alternant" and group is not Group.GL
     factor_group = Group.EO if cross_only else group
-    factors = tuple(_denominator_factors(factor_group, n))
-    matches = denom == poly_reduce_inverses(weyl_denominator_product(factor_group, n))
-    return factors, matches
+    u, ub = _pair_letters(factor_group)
+    factors = _own_pair_factors(factor_group, n)
+    for i, j in combinations(range(1, n + 1), 2):
+        factors.append(u(i) - u(j))
+        if factor_group is not Group.GL:
+            factors.append(ONE - ub(i) * ub(j))
+    layout, packed = _Layout.for_products(([f] for f in factors), paired=True)
+    matches = denom == layout.to_poly(layout.product(g[0] for g in packed))
+    return tuple(factors), matches
 
 
 def _divide_by_denominator(numer: Poly, group: Group, n: int, route: str) -> Poly:
@@ -267,7 +279,7 @@ def _divide_by_denominator(numer: Poly, group: Group, n: int, route: str) -> Pol
 
 def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
     """The pipeline of char_raw, char_alternant and char_raw_diff: the
-    numerator determinant divided by the denominator's product form, for
+    numerator determinant divided by the denominator's binomial factors, for
     the groups the calling route accepts (ValueError otherwise).
 
     EO_DIFF divides by EO's denominator; EO alone carries the eta = 1/2

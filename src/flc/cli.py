@@ -357,6 +357,18 @@ def _verify_checks(
     return checks
 
 
+def _run_check(name: str, fn: Callable[[], bool]) -> bool:
+    """A check that raises ArithmeticError (a denominator that differs
+    from its product form, an inexact division) fails like one that
+    returns False, and its message goes to stderr; the later checks
+    still run."""
+    try:
+        return fn()
+    except ArithmeticError as exc:
+        print(f"error: {name}: {exc}", file=sys.stderr)
+        return False
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     # Out of range, no shape would be checked and every check would pass.
     if args.max_rank < 1:
@@ -368,7 +380,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         groups = set(_CANONICAL)
     checks = _verify_checks(args.max_rank, args.max_part, groups)
-    outcomes = [fn() for _, fn in checks]
+    outcomes = [_run_check(name, fn) for name, fn in checks]
     failed = 0
     lines = []
     for (name, _), ok in zip(checks, outcomes):

@@ -636,12 +636,44 @@ class _Layout:
 def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
     """Packed quotient of rem by divisor, both under ``layout``.
 
-    Classic leading-term elimination in the graded-lex order (Johnson,
-    "Sparse polynomial arithmetic", 1974).  ``rem`` is consumed as the
-    remainder; a lazy max-heap of its ints yields its current leading
-    term, so the loop costs roughly (quotient terms) x (divisor terms).
-    The guard test of the layout rejects a leading term that lead(divisor)
-    does not divide, and DivisionNotExact names both terms unpacked.
+    ``rem`` is consumed as the remainder.  Two kernels, chosen by the
+    divisor's term count:
+
+    two terms (``_divide_binomial``)
+        A linear sweep with no heap.  Every route denominator is a list of
+        binomials (``characters._denominator_info``), and so are the
+        x_i - xb_i and s_i - sb_i of ``hfuncs.h_closed_one_pair``.
+    one term, or three or more (``_divide_heap``)
+        Leading-term elimination driven by a max-heap of the remainder's
+        terms (Johnson, "Sparse polynomial arithmetic", 1974), for the
+        general divisors that public ``poly_exact_div`` and
+        ``poly_exact_div_inverses`` accept.
+
+    Both run on the packed exponent vectors of Monagan and Pearce
+    ("Polynomial division using dynamic arrays, heaps, and packed
+    exponent vectors", CASC 2007).  They return the same quotient, check
+    every quotient term the same way (the layout's guard test and
+    divisibility of the coefficient), and raise DivisionNotExact for the
+    same term, with both terms unpacked.
+    """
+    if len(divisor) == 2:
+        return _divide_binomial(rem, divisor, layout)
+    return _divide_heap(rem, divisor, layout)
+
+
+def _not_divisible(layout: _Layout, m: int, c: int, lq: int, cq: int) -> DivisionNotExact:
+    return DivisionNotExact(
+        f"remainder nonzero: leading term {_term_str(layout.unpack(m), c, lead=True)} "
+        f"is not divisible by {_term_str(layout.unpack(lq), cq, lead=True)}"
+    )
+
+
+def _divide_heap(rem: dict, divisor: dict, layout: _Layout) -> dict:
+    """Classic leading-term elimination in the graded-lex order: a lazy
+    max-heap of the remainder's ints yields its current leading term, so
+    the loop costs roughly (quotient terms) x (divisor terms) heap
+    operations.  Fails at the largest remainder term that lead(divisor)
+    does not divide.
 
     No overflow, given that the layout bounds rem and divisor: the
     remainder starts as rem, and each monomial added later is t*m_q for a
@@ -666,10 +698,7 @@ def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
             continue  # stale entry
         tm = m - lq
         if tm & guard or c % cq:
-            raise DivisionNotExact(
-                f"remainder nonzero: leading term {_term_str(layout.unpack(m), c, lead=True)} "
-                f"is not divisible by {_term_str(layout.unpack(lq), cq, lead=True)}"
-            )
+            raise _not_divisible(layout, m, c, lq, cq)
         tc = c // cq
         quot[tm] = tc  # the lead product tm*lead(q) cancels m exactly
         for off, c2 in offsets:
@@ -681,6 +710,53 @@ def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
                 rem[mm] = nc
             else:
                 del rem[mm]
+    return quot
+
+
+def _divide_binomial(rem: dict, divisor: dict, layout: _Layout) -> dict:
+    """The heap's elimination for a divisor c1*M1 + c2*M2 (M1 > M2),
+    without the heap.
+
+    With d = M1 - M2 on the packed ints, eliminating the remainder term at
+    m adds -(c/c1)*c2 at m - d and nowhere else, so the remainder splits
+    into chains m, m - d, m - 2d, ... that never meet.  The dividend's
+    ints are sorted once, descending; each one that no earlier chain has
+    consumed starts a chain, which walks down, popping the dividend terms
+    it passes, until its coefficient cancels to zero.  Each term is
+    reached with the coefficient the heap would pop it with, and goes
+    through the heap's guard and coefficient tests.
+
+    The heap fails at the largest term that fails, which is the largest
+    of the chains' first failures.  So a failure is kept, not raised, and
+    the sweep goes on only above it: later chains start lower, and a walk
+    stops once it passes below the failure.  The sweep forms a subset of
+    the monomials the heap forms (none, past the failure), so the heap's
+    no-overflow argument covers it.
+    """
+    (lq, cq), (m2, c2) = sorted(divisor.items(), reverse=True)
+    d = lq - m2
+    guard = layout.guard
+    quot: dict = {}
+    failed = None  # (m, c) of the largest failing term so far
+    pop = rem.pop
+    for m in sorted(rem, reverse=True):
+        if failed is not None and m < failed[0]:
+            break
+        c = pop(m, 0)
+        while c:
+            tm = m - lq
+            if tm & guard or c % cq:
+                if failed is None or m > failed[0]:
+                    failed = (m, c)
+                break
+            tc = c // cq
+            quot[tm] = tc
+            m -= d
+            if failed is not None and m < failed[0]:
+                break
+            c = pop(m, 0) - tc * c2
+    if failed is not None:
+        raise _not_divisible(layout, *failed, lq, cq)
     return quot
 
 
@@ -777,7 +853,9 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
     step before, so no monomial of the chain exceeds that.  The final
     quotient's net exponents lie between low(p) - low(divisors) and
     high(p) - high(divisors), within D + S, so its total degree is at
-    most D + P(D + S).
+    most D + P(D + S).  The argument holds for any divisors; for the
+    ratio routes' binomials a split cross factor (x_i - x_j)(1 - xb_i*xb_j)
+    adds 1 + 2 = 3 to S, where the four-term factor it replaces added 1.
 
     On failure the DivisionNotExact message is the stepwise fold's.  The
     chain fails at step k exactly when the fold does, so the failing step

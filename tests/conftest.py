@@ -1,9 +1,12 @@
-"""Shared test helpers: the acceptance summary and hypothesis strategies."""
+"""Shared test helpers: the acceptance summary, hypothesis strategies and
+a denominator fault for negative controls."""
 
 import sys
 
+import pytest
 from hypothesis import strategies as st
 
+import flc.characters
 from flc.polyring import A, X, XB, ZERO, poly_const, poly_var
 
 
@@ -49,3 +52,20 @@ def nonzero_polys(draw):
     if not p.terms:
         p = p + poly_const(draw(st.integers(1, 3)))
     return p
+
+
+@pytest.fixture
+def flipped_own_pair_factor(monkeypatch):
+    """Negate SP's x1 - xb1 among the denominator's binomials, so that their
+    product no longer equals the denominator determinant.  The cached
+    denominators are dropped on both sides of the test."""
+    true_factors = flc.characters._own_pair_factors
+
+    def flipped(group, n):
+        out = true_factors(group, n)
+        return [-out[0], *out[1:]] if out else out
+
+    monkeypatch.setattr(flc.characters, "_own_pair_factors", flipped)
+    flc.characters._denominator_info.cache_clear()
+    yield
+    flc.characters._denominator_info.cache_clear()

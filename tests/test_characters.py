@@ -1,11 +1,15 @@
 """Characters by both determinantal routes: pinned small values, route
 agreement, denominator identities, the so(2n) family, and dimensions."""
 
+import hashlib
+
 import pytest
 
+import flc.characters
 from flc.characters import (
     CharSpec,
     Group,
+    _denominator_info,
     char_alternant,
     char_jacobi_trudi,
     char_raw,
@@ -24,11 +28,15 @@ from flc.hfuncs import factorial_power
 from flc.tableaux import group_tableau_sum, tableau_sum
 from flc.polyring import (
     ONE,
+    DivisionNotExact,
     X,
     XB,
     ZERO,
+    _det_cofactor,
+    map_s_to_x,
     pa,
     poly_determinant,
+    poly_exact_div_inverses_many,
     poly_halve,
     poly_reduce_inverses,
     poly_substitute,
@@ -233,6 +241,78 @@ def test_denominator_independent_of_a(group, n):
         if group is Group.EO:
             det = poly_halve(det)
         assert red(det) == prod
+
+
+# ---------------------------------------------------------------------------
+# the denominator as the ratio routes divide by it: binomial factors
+
+
+@pytest.mark.parametrize("route", ("raw", "alternant"))
+@pytest.mark.parametrize("group", BASE_GROUPS)
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_denominator_info_lists_matching_binomials(group, n, route):
+    factors, matches = _denominator_info(group, n, route)
+    assert matches
+    assert all(len(f.terms) == 2 for f in factors)
+
+
+@pytest.mark.parametrize(
+    "group, n, text",
+    [
+        (Group.GL, 1, "1"),
+        (Group.GL, 2, "x1 - x2"),
+        (Group.SP, 1, "x1 - xb1"),
+        (Group.SP, 2, "x1^2*x2 - x1^2*xb2 - x1*x2^2 + x1*xb2^2 - xb1^2*x2 + xb1^2*xb2 + xb1*x2^2 - xb1*xb2^2"),
+        (Group.OO, 1, "s1 - sb1"),
+        (
+            Group.OO,
+            2,
+            "s1^3*s2 - s1^3*sb2 - s1^2*sb1*s2 + s1^2*sb1*sb2 + s1*sb1^2*s2 - s1*sb1^2*sb2"
+            " - s1*s2^3 + s1*s2^2*sb2 - s1*s2*sb2^2 + s1*sb2^3 - sb1^3*s2 + sb1^3*sb2"
+            " + sb1*s2^3 - sb1*s2^2*sb2 + sb1*s2*sb2^2 - sb1*sb2^3",
+        ),
+        (Group.EO, 1, "1"),
+        (Group.EO, 2, "x1 + xb1 - x2 - xb2"),
+        (Group.GL, 3, "x1^2*x2 - x1^2*x3 - x1*x2^2 + x1*x3^2 + x2^2*x3 - x2*x3^2"),
+        # longer texts, pinned by their SHA-256
+        (Group.SP, 3, "sha256:a4468f6d606cded1ec8d3fed5b992d0b1a74541b7515da2e76614adcccb64ea3"),
+        (Group.OO, 3, "sha256:24e3881a74267a83b54baa5bf7dbebfd1f156d19c8bb0622b1343bc091fdcda8"),
+        (Group.EO, 3, "sha256:729477874fa11af195c0f86ebc17729a505ef66cdbb8674cc109b2a1d079f6c5"),
+    ],
+)
+def test_weyl_denominator_product_text(group, n, text):
+    """The public product form is the free-ring product of the four-term
+    factors, whatever list the ratio routes divide by."""
+    got = poly_to_str(weyl_denominator_product(group, n))
+    if text.startswith("sha256:"):
+        got = "sha256:" + hashlib.sha256(got.encode()).hexdigest()
+    assert got == text
+
+
+@pytest.mark.usefixtures("flipped_own_pair_factor")
+def test_denominator_with_a_flipped_binomial_is_refused():
+    assert _denominator_info(Group.SP, 2, "raw")[1] is False
+    with pytest.raises(ArithmeticError, match="differs from its product form"):
+        char_raw(char_spec(Group.SP, 2, (1,)))
+
+
+@pytest.mark.parametrize("route", ("raw", "alternant"))
+@pytest.mark.parametrize("group", (Group.SP, Group.OO))
+def test_inexact_numerator_is_refused(group, route):
+    """One extra term, x1*a1, in a real numerator: the division by the
+    route's binomials must raise, never return a quotient."""
+    n, lam = 3, (2, 1, 0)
+    entry = flc.characters._ENTRY_FN[route]
+    exps = [lam[j] + n - (j + 1) for j in range(n)]
+    numer = _det_cofactor([[entry(group, i, m) for m in exps] for i in range(1, n + 1)], paired=True)
+    factors, matches = _denominator_info(group, n, route)
+    assert matches
+    in_s = group is Group.OO and route == "raw"
+    quot = poly_exact_div_inverses_many(numer, factors)
+    assert (map_s_to_x(quot) if in_s else quot) == char_jacobi_trudi(char_spec(group, n, lam))
+    extra = (ps(1) ** 2 if in_s else px(1)) * pa(1)
+    with pytest.raises(DivisionNotExact):
+        poly_exact_div_inverses_many(numer + extra, factors)
 
 
 # ---------------------------------------------------------------------------

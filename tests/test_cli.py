@@ -358,6 +358,21 @@ def test_verify_detects_injected_weight_fault(capsys, monkeypatch):
     assert lines[-1].endswith("checks failed")
 
 
+@pytest.mark.usefixtures("flipped_own_pair_factor")
+def test_verify_detects_a_flipped_denominator_binomial(capsys):
+    """Negative control: a denominator that differs from its binomial
+    product must fail the denominator check, and verify must go on to
+    report it rather than stop at the first check that raises."""
+    code, out, err = run_cli(
+        capsys, "verify", "--groups", "sp", "--max-rank", "2", "--max-part", "1"
+    )
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert "FAIL denominator[sp]" in lines
+    assert lines[-1].endswith("checks failed")
+    assert "differs from its product form" in err
+
+
 # ---------------------------------------------------------------------------
 # the installed entry point
 
