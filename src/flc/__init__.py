@@ -56,7 +56,6 @@ from .tableaux import (
     tab_stats,
     tableau_sum,
     weight,
-    weighted_sum,
     weighted_tableaux,
 )
 from .latticepaths import (

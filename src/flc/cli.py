@@ -56,7 +56,6 @@ from .tableaux import (
     tableau_sum,
     tableau_to_json,
     tableau_to_text,
-    weighted_sum,
     weighted_tableaux,
 )
 
@@ -146,11 +145,9 @@ def _method_character(group: Group, n: int, lam: tuple, method: str) -> Poly:
     return char_raw_so_even(spec)
 
 
-def _emit(doc: dict, text: str, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(text)
+def _emit(fmt: str, doc: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Print the JSON document or the text, building only the one asked for."""
+    print(json.dumps(doc(), indent=2) if fmt == "json" else text())
 
 
 def cmd_char(args: argparse.Namespace) -> int:
@@ -172,56 +169,64 @@ def cmd_char(args: argparse.Namespace) -> int:
             p = poly_substitute(p, post)
         results[m] = p
 
-    doc = {"group": _CANONICAL[group], "rank": args.rank, "lambda": list(lam)}
+    head = {"group": _CANONICAL[group], "rank": args.rank, "lambda": list(lam)}
     if len(results) == 1:
-        p = next(iter(results.values()))
-        doc["polynomial"] = poly_to_json(p)
-        _emit(doc, poly_to_str(p), args.format)
+        (p,) = results.values()
+        _emit(args.format, lambda: {**head, "polynomial": poly_to_json(p)}, lambda: poly_to_str(p))
         return 0
-    agree = len({poly_to_str(p) for p in results.values()}) == 1
-    doc["methods"] = {m: poly_to_json(p) for m, p in results.items()}
-    doc["agree"] = agree
-    lines = [f"{m}: {poly_to_str(p)}" for m, p in results.items()]
-    lines.append("AGREE" if agree else "DISAGREE")
-    _emit(doc, "\n".join(lines), args.format)
+    agree = len(set(results.values())) == 1
+    _emit(
+        args.format,
+        lambda: {
+            **head,
+            "methods": {m: poly_to_json(p) for m, p in results.items()},
+            "agree": agree,
+        },
+        lambda: "\n".join(
+            [*(f"{m}: {poly_to_str(p)}" for m, p in results.items()), "AGREE" if agree else "DISAGREE"]
+        ),
+    )
     return 0 if agree else 2
 
 
 def cmd_tableaux(args: argparse.Namespace) -> int:
     group = _parse_group(args.group)
     lam = _parse_lambda(args.lam, args.rank)
-    listed = list(weighted_tableaux(group, args.rank, lam))
+    listed = [(t, c, w, tab_stats(t, group)) for t, c, w in weighted_tableaux(group, args.rank, lam)]
+    total = group_tableau_sum(group, args.rank, lam)
 
-    rows_json = []
-    lines = []
-    for idx, (t, c, w) in enumerate(listed, start=1):
-        st = tab_stats(t, group)
-        rows_json.append(
-            {
-                "rows": tableau_to_json(t),
-                "weight": poly_to_json(w),
-                "zeta": st.zeta,
-                "bar": st.bar,
-                "coeff": c,
-            }
-        )
-        lines.append(f"# {idx}")
-        lines.append(tableau_to_text(t) if t.rows else "(empty)")
-        lines.append(f"weight = {poly_to_str(w)}")
-        lines.append(f"zeta = {st.zeta}  bar = {st.bar}  coeff = {c}")
-        lines.append("")
-    total = weighted_sum(listed)
-    lines.append(f"count = {len(listed)}")
-    lines.append(f"sum = {poly_to_str(total)}")
-    doc = {
-        "group": _CANONICAL[group],
-        "rank": args.rank,
-        "lambda": list(lam),
-        "tableaux": rows_json,
-        "count": len(listed),
-        "sum": poly_to_json(total),
-    }
-    _emit(doc, "\n".join(lines), args.format)
+    def doc() -> dict:
+        return {
+            "group": _CANONICAL[group],
+            "rank": args.rank,
+            "lambda": list(lam),
+            "tableaux": [
+                {
+                    "rows": tableau_to_json(t),
+                    "weight": poly_to_json(w),
+                    "zeta": st.zeta,
+                    "bar": st.bar,
+                    "coeff": c,
+                }
+                for t, c, w, st in listed
+            ],
+            "count": len(listed),
+            "sum": poly_to_json(total),
+        }
+
+    def text() -> str:
+        lines = []
+        for idx, (t, c, w, st) in enumerate(listed, start=1):
+            lines.append(f"# {idx}")
+            lines.append(tableau_to_text(t) if t.rows else "(empty)")
+            lines.append(f"weight = {poly_to_str(w)}")
+            lines.append(f"zeta = {st.zeta}  bar = {st.bar}  coeff = {c}")
+            lines.append("")
+        lines.append(f"count = {len(listed)}")
+        lines.append(f"sum = {poly_to_str(total)}")
+        return "\n".join(lines)
+
+    _emit(args.format, doc, text)
     return 0
 
 
@@ -380,31 +385,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         groups = set(_CANONICAL)
     checks = _verify_checks(args.max_rank, args.max_part, groups)
-    outcomes = [_run_check(name, fn) for name, fn in checks]
-    failed = 0
-    lines = []
-    for (name, _), ok in zip(checks, outcomes):
-        lines.append(f"{'PASS' if ok else 'FAIL'} {name}")
-        failed += 0 if ok else 1
+    outcomes = [(name, _run_check(name, fn)) for name, fn in checks]
+    failed = sum(not ok for _, ok in outcomes)
     summary = (
         f"all {len(checks)} checks passed"
         if not failed
         else f"{failed} of {len(checks)} checks failed"
     )
-    lines.append(summary)
-    if args.format == "json":
-        doc = {
+    _emit(
+        args.format,
+        lambda: {
             "max_rank": args.max_rank,
             "max_part": args.max_part,
-            "checks": [
-                {"name": name, "ok": ok}
-                for (name, _), ok in zip(checks, outcomes)
-            ],
+            "checks": [{"name": name, "ok": ok} for name, ok in outcomes],
             "ok": not failed,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        print("\n".join(lines))
+        },
+        lambda: "\n".join([*(f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in outcomes), summary]),
+    )
     return 0 if not failed else 2
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping, Sequence, Tuple
 
 __all__ = [
@@ -452,9 +453,8 @@ class _Layout:
 
     formal
         One field per letter, so x_i and xb_i are independent.  Public
-        ``poly_determinant`` and ``poly_exact_div`` and the listed
-        tableau weights (``weighted_tableaux``) use it: they work in the
-        free ring, where x1*xb1 is a monomial of its own.
+        ``poly_determinant`` and ``poly_exact_div`` use it: they work in
+        the free ring, where x1*xb1 is a monomial of its own.
     paired
         One field per inverse pair (x_i/xb_i, s_i/sb_i) and one per
         a-letter.  xb_i packs as minus the unit of x_i, degree field
@@ -583,16 +583,6 @@ class _Layout:
             cls.mul_add(out, f, acc)
             acc = out
         return {m: c for m, c in acc.items() if c}
-
-    @staticmethod
-    def linear_combination(pairs: Iterable[Tuple[int, dict]]) -> dict:
-        """The sum of c * terms over the (c, terms) pairs, in one dict."""
-        out: dict = {}
-        get = out.get
-        for c, terms in pairs:
-            for m, v in terms.items():
-                out[m] = get(m, 0) + c * v
-        return out
 
     def lowest(self, terms: dict) -> dict:
         """Per inverse-pair field of a paired layout, the least net
@@ -858,10 +848,10 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
     adds 1 + 2 = 3 to S, where the four-term factor it replaces added 1.
 
     On failure the DivisionNotExact message is the stepwise fold's.  The
-    chain fails at step k exactly when the fold does, so the failing step
-    is re-divided alone, from the unpacked, compensated quotient of the
-    step before, to raise the fold's message; the chain's own error is
-    re-raised should that division succeed.
+    chain fails at step k exactly when the fold does, so with more than
+    one divisor the fold is replayed from p to raise its own message; the
+    chain's own error is re-raised should the fold succeed.  A single
+    divisor's chain is the fold, and its error is raised as it is.
     """
     divisors = list(divisors)
     codes: set = set()
@@ -893,15 +883,11 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
             clears[k] += bar * unit[code]
     quot = {v + clear_a: c for v, c in a.items()}
     try:
-        for k, (b, clear) in enumerate(zip(divs, clears)):
-            # From the second step on, keep the dividend: a failing step
-            # is re-divided from it.
-            prev = quot
-            quot = _divide_packed(dict(quot) if k else quot, {v + clear: c for v, c in b.items()}, layout)
+        for b, clear in zip(divs, clears):
+            quot = _divide_packed(quot, {v + clear: c for v, c in b.items()}, layout)
     except DivisionNotExact:
         if len(divs) > 1:
-            before = p if k == 0 else layout.to_poly(prev, sum(clears[:k]) - clear_a)
-            poly_exact_div_inverses(before, divisors[k])
+            reduce(poly_exact_div_inverses, divisors, p)
         raise
     return layout.to_poly(quot, sum(clears) - clear_a)
 

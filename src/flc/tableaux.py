@@ -32,28 +32,27 @@ tableau set with first-column restrictions and signs.  Every coefficient
 rule is local too: a factor of each row that depends only on the first
 letters of that row and of the row above (_coefficient_rules).
 
-The sums run on packed exponents (polyring._Layout; Monagan and Pearce,
-CASC 2007).  Each call packs every factor _cell_weight gives a cell once,
-under one layout whose degree bound is the sum over cells of the largest
-factor degree.  Every cell factor is linear (x + a, xb + a, 1 - a, or a
-bare letter when the a-index is <= 0), so the bound is at most |lambda|,
-and no weight or sum of weights has a term of higher degree.
+group_tableau_sum, behind tableau_sum, diff_tableau_sum,
+so_even_tableau_sum and the flc tableaux sum line, is the one sum engine,
+and it never forms a tableau's weight.  It is a transfer sum over rows:
+S_k(r), the sum of coefficient times weight over the partial tableaux
+whose row k is r, is w_k(r) times the sum of c(r', r) * S_{k-1}(r') over
+the rows r' that may sit above r, and the character is the sum of the
+last level's S.  It runs on packed exponents (polyring._Layout; Monagan
+and Pearce, CASC 2007) in the paired mode, where x_k and xb_k share one
+signed field, so x_k*xb_k cancels inside the adds that multiply
+monomials; the sum comes out in the reduced normal form of every other
+character-level value and is unpacked once.  Each call packs every
+factor _cell_weight gives a cell once, under one layout whose degree
+bound is the sum over cells of the largest factor degree.  Every cell
+factor is linear (x + a, xb + a, 1 - a, or a bare letter when the
+a-index is <= 0), so the bound is at most |lambda|, and no weight or sum
+of weights has a term of higher degree.
 
-group_tableau_sum, behind tableau_sum, diff_tableau_sum and
-so_even_tableau_sum, never forms a tableau's weight.  It is a transfer
-sum over rows: S_k(r), the sum of coefficient times weight over the
-partial tableaux whose row k is r, is w_k(r) times the sum of c(r', r) *
-S_{k-1}(r') over the rows r' that may sit above r, and the character is
-the sum of the last level's S.  It runs on the paired layout, where x_k
-and xb_k share one signed field, so x_k*xb_k cancels inside the adds
-that multiply monomials; the sum comes out in the reduced normal form of
-every other character-level value and is unpacked once.
-
-weighted_tableaux (the flc tableaux listing) keeps one weight per
-tableau: it walks enumerate_tableaux and lists each weight under the
-formal layout, as the literal product of its cells, matched pairs kept.
-weight() stays the literal Poly product of the cell factors, and with
-enumerate_tableaux and tab_stats, is_diff_tableau and
+weighted_tableaux (the flc tableaux listing) walks enumerate_tableaux and
+yields each tableau with its coefficient and weight().  weight() stays
+the literal Poly product of the cell factors, matched pairs kept, and
+with enumerate_tableaux and tab_stats, is_diff_tableau and
 so_even_coefficient it is the per-tableau oracle the tests hold the
 transfer sum to.
 """
@@ -61,12 +60,12 @@ transfer sum to.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations_with_replacement, count, islice
+from itertools import combinations_with_replacement, count, islice
 from math import prod
 from typing import Callable, Dict, Iterable, Iterator, List, Tuple
 
 from .characters import _RATIO_GROUPS, Group, make_partition, partition_length
-from .polyring import ONE, Poly, _Layout, pa, poly_reduce_inverses, poly_sum, px, pxb
+from .polyring import ONE, Poly, _Layout, pa, px, pxb
 
 __all__ = [
     "Entry",
@@ -78,7 +77,6 @@ __all__ = [
     "weight",
     "tab_stats",
     "weighted_tableaux",
-    "weighted_sum",
     "group_tableau_sum",
     "tableau_sum",
     "diff_tableau_sum",
@@ -159,7 +157,7 @@ def _row_graph(group: Group, n: int, shape: tuple) -> Tuple[tuple, Callable[[int
     reaches lies on a whole tableau, and no partial tableau is a dead end.
     """
     eo_rules = group in _EO_FAMILY
-    alphabet = _alphabet(Group.EO if eo_rules else group, n)
+    alphabet = _alphabet(group, n)
     zero = alphabet.index(ZERO_ENTRY) if group is Group.OO else None
 
     def level_rows(k: int, width: int) -> List[Tuple[tuple, tuple]]:
@@ -290,8 +288,9 @@ def so_even_coefficient(t: Tableau, plus: bool) -> int:
 _Rule = Callable[[int, int, int], int]
 
 
-def _coefficient_rules(group: Group, full: bool) -> List[Tuple[int, _Rule]]:
-    """The coefficient rules of the sums, the only place they are written down.
+def _coefficient_rules(group: Group, lam: tuple) -> List[Tuple[int, _Rule]]:
+    """The coefficient rules of the sums for the partition ``lam`` (padded
+    to the rank), the only place they are written down.
 
     A rule gives the row at level k a factor rule(k, a, r), where r is the
     position of the row's first letter and a that of the row above (-1 at
@@ -309,7 +308,12 @@ def _coefficient_rules(group: Group, full: bool) -> List[Tuple[int, _Rule]]:
                              so_even_coefficient, when lambda has n nonzero
                              parts; otherwise there is no split and the
                              plain o(2n) rule 2^zeta applies
+
+    Raises InvalidShape for EO_DIFF with fewer than n nonzero parts.
     """
+    full = partition_length(lam) == len(lam)
+    if group is Group.EO_DIFF and not full:
+        raise InvalidShape(f"difference sum needs n={len(lam)} nonzero parts, got {lam}")
 
     def zeta(k: int, a: int, r: int) -> int:
         return 2 if a == 2 * k - 2 and r == 2 * k - 1 else 1
@@ -339,38 +343,35 @@ def _half(c: int) -> int:
 
 
 def _setup(
-    group: Group, n: int, lam_parts: Iterable[int], paired: bool
-) -> Tuple[tuple, List[Entry], List[Tuple[int, _Rule]], _Layout, List[list]]:
-    """What both sums start from: the shape (the nonzero parts), the
-    alphabet, the coefficient rules, and a layout, paired or formal as
-    ``paired`` says (see polyring._Layout), with every factor _cell_weight
-    gives a cell packed under it, indexed by alphabet position, one list
-    of cells per level.
+    group: Group, n: int, lam_parts: Iterable[int]
+) -> Tuple[tuple, List[Tuple[int, _Rule]], _Layout, List[list]]:
+    """What the transfer sum starts from: the shape (the nonzero parts),
+    the coefficient rules, and a paired layout (see polyring._Layout) with
+    every factor _cell_weight gives a cell packed under it, indexed by
+    alphabet position, one list of cells per level.
 
     Raises InvalidShape for EO_DIFF with fewer than n nonzero parts.  The
     factors are packed by _Layout.for_products with one group of factors
     per cell, so the degree bound is the sum over cells of the cell's
-    largest factor degree, i.e. at most |lambda|; a weight, or the weight
-    of a partial tableau, takes at most one factor per cell, so no term
-    of it, or of any sum of such weights, exceeds the bound.
+    largest factor degree, i.e. at most |lambda|; the weight of a partial
+    tableau takes at most one factor per cell, so no term of it, or of
+    any sum of such weights, exceeds the bound.
     """
     lam = make_partition(lam_parts, n)
-    full = partition_length(lam) == n
-    if group is Group.EO_DIFF and not full:
-        raise InvalidShape(f"difference sum needs n={n} nonzero parts, got {lam}")
+    rules = _coefficient_rules(group, lam)
     shape = tuple(p for p in lam if p)
-    alphabet = _alphabet(Group.EO if group in _EO_FAMILY else group, n)
+    alphabet = _alphabet(group, n)
     layout, packed = _Layout.for_products(
         (
             [_cell_weight(e, i, j, group, n) for e in alphabet]
             for i, w in enumerate(shape, start=1)
             for j in range(1, w + 1)
         ),
-        paired,
+        paired=True,
     )
     cells = iter(packed)
     levels = [list(islice(cells, w)) for w in shape]
-    return shape, alphabet, _coefficient_rules(group, full), layout, levels
+    return shape, rules, layout, levels
 
 
 def weighted_tableaux(
@@ -379,32 +380,22 @@ def weighted_tableaux(
     """Yield (tableau, coefficient, weight) for every tableau in the group's sum.
 
     The tableaux of enumerate_tableaux, each with its coefficient (see
-    _coefficient_rules) and its weight formed on the formal layout and
-    unpacked; tableaux with coefficient 0 are left out.  For EO_DIFF with
-    fewer than n nonzero parts, iterating raises InvalidShape.  The
-    triples are yielded, not listed, so a caller never needs to hold
-    every weight at once.
+    _coefficient_rules) and its weight(); tableaux with coefficient 0 are
+    left out.  For EO_DIFF with fewer than n nonzero parts, iterating
+    raises InvalidShape.  The triples are yielded, not listed, so a caller
+    never needs to hold every weight at once.
     """
-    shape, alphabet, rules, layout, levels = _setup(group, n, lam_parts, paired=False)
-    position = {e: p for p, e in enumerate(alphabet)}
-    cells = list(chain.from_iterable(levels))
-    for t in enumerate_tableaux(group, n, shape):
+    lam = make_partition(lam_parts, n)
+    rules = _coefficient_rules(group, lam)
+    position = {e: p for p, e in enumerate(_alphabet(group, n))}
+    for t in enumerate_tableaux(group, n, lam):
         firsts = [position[row[0]] for row in t.rows]
         aboves = [-1, *firsts]
         c = sum(sign * prod(map(rule, count(1), aboves, firsts)) for sign, rule in rules)
         if len(rules) == 2:
             c = _half(c)
         if c:
-            yield t, c, layout.to_poly(
-                layout.product(
-                    cell[position[e]] for cell, e in zip(cells, chain.from_iterable(t.rows))
-                )
-            )
-
-
-def weighted_sum(triples: Iterable[Tuple[Tableau, int, Poly]]) -> Poly:
-    """Sum of coefficient * weight over weighted_tableaux triples, reduced."""
-    return poly_reduce_inverses(poly_sum(c * w for _, c, w in triples))
+            yield t, c, weight(t, group, n)
 
 
 def _transfer_sum(
@@ -489,7 +480,7 @@ def group_tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
     for EO_DIFF with fewer than n nonzero parts; SO_EVEN_PLUS/MINUS with
     fewer than n nonzero parts get the plain 2^zeta sum.
     """
-    shape, _, rules, layout, levels = _setup(group, n, lam_parts, paired=True)
+    shape, rules, layout, levels = _setup(group, n, lam_parts)
     top, successors = _row_graph(group, n, shape)
     total: dict = {}
     for sign, rule in rules:

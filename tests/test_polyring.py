@@ -275,8 +275,6 @@ def test_paired_layout_equals_the_reduced_poly_arithmetic(factors):
     out: dict = {}
     layout.mul_add(out, packed[0], packed[1], -2)
     assert layout.to_poly(out) == red(-2 * factors[0] * factors[1])
-    combined = layout.linear_combination((k + 1, pf) for k, pf in enumerate(packed))
-    assert layout.to_poly(combined) == red(poly_sum((k + 1) * f for k, f in enumerate(factors)))
 
 
 @settings(max_examples=100)

@@ -452,7 +452,7 @@ def _library_sum(group, n, lam):
 
 @pytest.mark.parametrize("group", list(Group))
 def test_packed_engine_matches_the_poly_oracle(group):
-    """Each packed weight, and each library sum, against weight(), the
+    """Each listed weight, and each library sum, against weight(), the
     literal product of the cell factors as Poly values."""
     for n, lam in _ENGINE_CASES:
         full = len([p for p in lam if p]) == n
@@ -531,7 +531,8 @@ def test_transfer_sum_matches_the_per_tableau_oracle(group):
     """group_tableau_sum, the row-by-row transfer sum, against the sum of
     coefficient * weight(t) over enumerate_tableaux, with the coefficient
     from tab_stats, is_diff_tableau or so_even_coefficient; the listing's
-    coefficients against the same oracle."""
+    coefficients against the same oracle, and the sum of its triples
+    against group_tableau_sum, which flc tableaux prints as their sum."""
     coefficients = set()
     for n, lam in _TRANSFER_CASES:
         if group is Group.EO_DIFF and len([p for p in lam if p]) < n:
@@ -542,8 +543,11 @@ def test_transfer_sum_matches_the_per_tableau_oracle(group):
             if (c := _oracle_coefficient(t, group, n))
         ]
         expected = poly_reduce_inverses(poly_sum(c * weight(t, group, n) for t, c in listed))
-        assert group_tableau_sum(group, n, lam) == expected, (n, lam)
-        assert [(t, c) for t, c, _ in weighted_tableaux(group, n, lam)] == listed, (n, lam)
+        total = group_tableau_sum(group, n, lam)
+        assert total == expected, (n, lam)
+        triples = list(weighted_tableaux(group, n, lam))
+        assert [(t, c) for t, c, _ in triples] == listed, (n, lam)
+        assert poly_reduce_inverses(poly_sum(c * w for _, c, w in triples)) == total, (n, lam)
         coefficients.update(c for _, c in listed)
     if group in _SO_EVEN:
         assert coefficients == {1, 2}
