@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .characters import (
     _JT_KIND,
@@ -145,9 +145,14 @@ def _method_character(group: Group, n: int, lam: tuple, method: str) -> Poly:
     return char_raw_so_even(spec)
 
 
-def _emit(fmt: str, doc: Callable[[], dict], text: Callable[[], str]) -> None:
-    """Print the JSON document or the text, building only the one asked for."""
-    print(json.dumps(doc(), indent=2) if fmt == "json" else text())
+def _emit(fmt: str, doc: Callable[[], dict], text: Callable[[], Iterable[str]]) -> None:
+    """Print the JSON document or the text, building only the one asked
+    for.  The text's lines are printed as they are produced."""
+    if fmt == "json":
+        print(json.dumps(doc(), indent=2))
+        return
+    for line in text():
+        print(line)
 
 
 def cmd_char(args: argparse.Namespace) -> int:
@@ -172,7 +177,7 @@ def cmd_char(args: argparse.Namespace) -> int:
     head = {"group": _CANONICAL[group], "rank": args.rank, "lambda": list(lam)}
     if len(results) == 1:
         (p,) = results.values()
-        _emit(args.format, lambda: {**head, "polynomial": poly_to_json(p)}, lambda: poly_to_str(p))
+        _emit(args.format, lambda: {**head, "polynomial": poly_to_json(p)}, lambda: [poly_to_str(p)])
         return 0
     agree = len(set(results.values())) == 1
     _emit(
@@ -182,9 +187,7 @@ def cmd_char(args: argparse.Namespace) -> int:
             "methods": {m: poly_to_json(p) for m, p in results.items()},
             "agree": agree,
         },
-        lambda: "\n".join(
-            [*(f"{m}: {poly_to_str(p)}" for m, p in results.items()), "AGREE" if agree else "DISAGREE"]
-        ),
+        lambda: [*(f"{m}: {poly_to_str(p)}" for m, p in results.items()), "AGREE" if agree else "DISAGREE"],
     )
     return 0 if agree else 2
 
@@ -192,39 +195,42 @@ def cmd_char(args: argparse.Namespace) -> int:
 def cmd_tableaux(args: argparse.Namespace) -> int:
     group = _parse_group(args.group)
     lam = _parse_lambda(args.lam, args.rank)
-    listed = [(t, c, w, tab_stats(t, group)) for t, c, w in weighted_tableaux(group, args.rank, lam)]
+    # The sum first: it raises InvalidShape before any line is printed.
     total = group_tableau_sum(group, args.rank, lam)
+    listed = weighted_tableaux(group, args.rank, lam)
 
     def doc() -> dict:
+        tableaux = [
+            {
+                "rows": tableau_to_json(t),
+                "weight": poly_to_json(w),
+                "zeta": st.zeta,
+                "bar": st.bar,
+                "coeff": c,
+            }
+            for t, c, w in listed
+            for st in [tab_stats(t, group)]
+        ]
         return {
             "group": _CANONICAL[group],
             "rank": args.rank,
             "lambda": list(lam),
-            "tableaux": [
-                {
-                    "rows": tableau_to_json(t),
-                    "weight": poly_to_json(w),
-                    "zeta": st.zeta,
-                    "bar": st.bar,
-                    "coeff": c,
-                }
-                for t, c, w, st in listed
-            ],
-            "count": len(listed),
+            "tableaux": tableaux,
+            "count": len(tableaux),
             "sum": poly_to_json(total),
         }
 
-    def text() -> str:
-        lines = []
-        for idx, (t, c, w, st) in enumerate(listed, start=1):
-            lines.append(f"# {idx}")
-            lines.append(tableau_to_text(t) if t.rows else "(empty)")
-            lines.append(f"weight = {poly_to_str(w)}")
-            lines.append(f"zeta = {st.zeta}  bar = {st.bar}  coeff = {c}")
-            lines.append("")
-        lines.append(f"count = {len(listed)}")
-        lines.append(f"sum = {poly_to_str(total)}")
-        return "\n".join(lines)
+    def text() -> Iterator[str]:
+        count = 0
+        for count, (t, c, w) in enumerate(listed, start=1):
+            st = tab_stats(t, group)
+            yield f"# {count}"
+            yield tableau_to_text(t) if t.rows else "(empty)"
+            yield f"weight = {poly_to_str(w)}"
+            yield f"zeta = {st.zeta}  bar = {st.bar}  coeff = {c}"
+            yield ""
+        yield f"count = {count}"
+        yield f"sum = {poly_to_str(total)}"
 
     _emit(args.format, doc, text)
     return 0
@@ -400,7 +406,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "checks": [{"name": name, "ok": ok} for name, ok in outcomes],
             "ok": not failed,
         },
-        lambda: "\n".join([*(f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in outcomes), summary]),
+        lambda: [*(f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in outcomes), summary],
     )
     return 0 if not failed else 2
 

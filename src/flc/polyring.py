@@ -472,7 +472,8 @@ class _Layout:
     per field; when every |e_k| <= ``degree`` < half, each field of the
     biased int holds e_k + half, in [1, 2*half - 1], with no borrow or
     carry between fields, and reading it back and subtracting half gives
-    e_k.  A formal layout has bias 0 and only non-negative digits.
+    e_k.  The bias is the same in both modes, which differ only in which
+    letters share a field; a formal layout's digits are never negative.
 
     The bound holds for every monomial whose total degree is at most
     ``degree``: then each exponent, each net exponent, and the degree
@@ -509,7 +510,7 @@ class _Layout:
         fields = range(len(codes) + 1)
         self.guard = sum(1 << (k * width + width - 1) for k in fields)
         self.field = (1 << width) - 1
-        self.half = (1 << (width - 1)) if paired else 0
+        self.half = 1 << (width - 1)
         self.bias = sum(self.half << (k * width) for k in fields)
         # to_poly splits the variable fields into a high and a low half.
         self.cut = len(codes) // 2 * width
@@ -526,9 +527,6 @@ class _Layout:
             elif e:
                 out.append((code + 1, -e))
         return tuple(out)
-
-    def unpack(self, v: int) -> Mono:
-        return self._digits(v + self.bias, self.shifts)
 
     def pack_terms(self, p: Poly) -> dict:
         """p's terms packed; colliding monomials (paired layouts) add up."""
@@ -584,16 +582,6 @@ class _Layout:
             acc = out
         return {m: c for m, c in acc.items() if c}
 
-    def lowest(self, terms: dict) -> dict:
-        """Per inverse-pair field of a paired layout, the least net
-        exponent among the packed terms."""
-        bias, field, half = self.bias, self.field, self.half
-        return {
-            code: min(((v + bias) >> sh) & field for v in terms) - half
-            for code, sh in self.shifts
-            if code < _A_NEG_LOW
-        }
-
     def to_poly(self, terms: dict, offset: int = 0) -> Poly:
         """Unpack every term with a nonzero coefficient, each monomial
         first multiplied by the packed ``offset``.  Monomials share their
@@ -643,8 +631,10 @@ def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
     ("Polynomial division using dynamic arrays, heaps, and packed
     exponent vectors", CASC 2007).  They return the same quotient, check
     every quotient term the same way (the layout's guard test and
-    divisibility of the coefficient), and raise DivisionNotExact for the
-    same term, with both terms unpacked.
+    divisibility of the coefficient), and raise DivisionNotExact naming
+    the same term and the divisor's lead term, each unpacked by
+    ``layout.to_poly``.  Under the division chain of
+    ``poly_exact_div_inverses_many`` both are cleared monomials.
     """
     if len(divisor) == 2:
         return _divide_binomial(rem, divisor, layout)
@@ -653,8 +643,8 @@ def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
 
 def _not_divisible(layout: _Layout, m: int, c: int, lq: int, cq: int) -> DivisionNotExact:
     return DivisionNotExact(
-        f"remainder nonzero: leading term {_term_str(layout.unpack(m), c, lead=True)} "
-        f"is not divisible by {_term_str(layout.unpack(lq), cq, lead=True)}"
+        f"remainder nonzero: leading term {layout.to_poly({m: c})} "
+        f"is not divisible by {layout.to_poly({lq: cq})}"
     )
 
 
@@ -820,32 +810,36 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
     Same result as chaining poly_exact_div_inverses, but the barred
     letters are cleared once up front and the compensating power folded
     back once at the end, which matters when a large polynomial is divided
-    by many small factors.  Each divisor's clearing power bounds its own
-    reciprocal depth, so every intermediate quotient in the chain is again
-    bar-free and the stepwise free divisions are exact whenever the full
-    quotient exists.
+    by many small factors.
 
     The whole chain runs under one paired ``_Layout``: packing p and the
-    divisors reduces them, each net exponent's low point is read off the
-    packed ints, clearing is one add of a packed plain-letter power per
-    int, and the compensation is one more, folded into the final unpack.
-    The cleared ints are bar-free with every field >= 0, so they equal the
-    graded packing and ``_divide_packed`` runs on them unchanged.
+    divisors reduces them, clearing is one add of a packed plain-letter
+    power per int, and the compensation is one more, folded into the final
+    unpack.  The cleared ints are bar-free with every field >= 0, so they
+    equal the graded packing and ``_divide_packed`` runs on them unchanged.
 
-    The degree bound covers every int of the chain.  With D the largest
-    total degree among p and the divisors, S the sum of the divisors'
-    degrees and P the number of inverse-pair fields: each net exponent of
-    an operand lies in [-D, D] and each divisor's in [-S, S], so the
-    clearing power of a pair is at most D + 2S.  A cleared operand then
-    has total degree at most D + P(D + 2S); within a step every remainder
-    and quotient monomial is at most the lead of that step's dividend in
-    the graded order, and each step's dividend is the quotient of the
-    step before, so no monomial of the chain exceeds that.  The final
-    quotient's net exponents lie between low(p) - low(divisors) and
-    high(p) - high(divisors), within D + S, so its total degree is at
-    most D + P(D + S).  The argument holds for any divisors; for the
-    ratio routes' binomials a split cross factor (x_i - x_j)(1 - xb_i*xb_j)
-    adds 1 + 2 = 3 to S, where the four-term factor it replaces added 1.
+    Clearing is by the degree bound.  With D the largest total degree
+    among p and the divisors, s_k the degree of divisor b_k, S the sum of
+    the s_k, and ``plain`` the product of one plain letter per inverse
+    pair, p is cleared by plain^(D + 2S) and b_k by plain^(s_k).  Each net
+    exponent of p lies in [-D, D] and each of b_k's in [-s_k, s_k], so the
+    cleared operands are bar-free.  So is every cleared quotient: the
+    lowest net exponent of a product is the sum of its factors' lowest, so
+    Q_k = p / (b_1...b_k) has net exponents >= -D - (s_1 + ... + s_k),
+    and step k leaves Q_k * plain^(D + 2S - s_1 - ... - s_k), whose net
+    exponents are >= 2S - 2(s_1 + ... + s_k) >= 0.  The stepwise bar-free
+    divisions are therefore exact whenever the full quotient exists.
+
+    The degree bound covers every int of the chain.  With P the number of
+    inverse-pair fields, a cleared p has total degree at most
+    D + P(D + 2S); within a step every remainder and quotient monomial is
+    at most the lead of that step's dividend in the graded order, and each
+    step's dividend is the quotient of the step before, so no monomial of
+    the chain exceeds that.  The final quotient's net exponents lie in
+    [-D - S, D + S], so its total degree is at most D + P(D + S).  The
+    argument holds for any divisors; for the ratio routes' binomials a
+    split cross factor (x_i - x_j)(1 - xb_i*xb_j) adds 1 + 2 = 3 to S,
+    where the four-term factor it replaces added 1.
 
     On failure the DivisionNotExact message is the stepwise fold's.  The
     chain fails at step k exactly when the fold does, so with more than
@@ -865,31 +859,17 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
         raise DivisionByZero("division by the zero polynomial")
     if not a:
         return ZERO
-    if not divs:
-        return layout.to_poly(a)
-    unit = layout.unit
-    low_a = layout.lowest(a)
-    lows = [layout.lowest(b) for b in divs]
-    clear_a = 0
-    clears = [0] * len(divs)
-    for code, low in low_a.items():
-        bars = [max(0, -lb[code]) for lb in lows]
-        sum_low = sum(lb[code] for lb in lows)
-        # Clearing a by plain^need must leave room for the quotient's own
-        # barred powers, whose depth is bounded by sum_low - low.
-        need = max(-low, sum(bars) + max(0, sum_low - low))
-        clear_a += need * unit[code]
-        for k, bar in enumerate(bars):
-            clears[k] += bar * unit[code]
-    quot = {v + clear_a: c for v, c in a.items()}
+    plain = sum(layout.unit[code] for code, _ in layout.shifts if code < _A_NEG_LOW)
+    clear = (deg + 2 * span) * plain
+    quot = {v + clear: c for v, c in a.items()}
     try:
-        for b, clear in zip(divs, clears):
-            quot = _divide_packed(quot, {v + clear: c for v, c in b.items()}, layout)
+        for b, s_k in zip(divs, degrees[1:]):
+            quot = _divide_packed(quot, {v + s_k * plain: c for v, c in b.items()}, layout)
     except DivisionNotExact:
         if len(divs) > 1:
             reduce(poly_exact_div_inverses, divisors, p)
         raise
-    return layout.to_poly(quot, sum(clears) - clear_a)
+    return layout.to_poly(quot, -(deg + span) * plain)
 
 
 def poly_halve(p: Poly) -> Poly:
@@ -1022,8 +1002,13 @@ def map_s_to_x(p: Poly) -> Poly:
 
 
 def eval_integer(p: Poly, point: Mapping[VarId, int]) -> int:
-    """Evaluate at an integer point covering every variable of p."""
-    values = {v.code(): int(val) for v, val in point.items()}
+    """Evaluate at an integer point covering every variable of p.  A value
+    that is not an int (bool included) raises ValueError."""
+    values = {}
+    for v, val in point.items():
+        if type(val) is not int:
+            raise ValueError(f"value {val!r} for {v} is not an int")
+        values[v.code()] = val
     total = 0
     for m, c in p.terms.items():
         prod = c

@@ -298,6 +298,9 @@ def test_exact_div_inverses_uses_the_pair_relation():
     assert poly_exact_div_inverses(numer2, x1 - xb1) == x1
     with pytest.raises(DivisionNotExact):
         poly_exact_div(numer2, x1 - xb1)
+    # xb1 / x1 = xb1^2 reaches net exponent -D - S = -2; clearing the
+    # dividend by less than D + 2S = 3 leaves no room for it
+    assert poly_exact_div_inverses(xb1, x1) == xb1 ** 2
 
 
 def test_exact_div_inverses_detects_genuine_failure():
@@ -311,6 +314,8 @@ def test_exact_div_inverses_many_chains():
         prod * (x1 + x2), [(x1 - xb1), (x2 - xb2), (x1 + xb1 - x2 - xb2)]
     )
     assert quot == x1 + x2
+    # each step deepens the bars, down to -D - S = -4 (D = 2, S = 2)
+    assert poly_exact_div_inverses_many(xb1 ** 2, [x1, x1]) == xb1 ** 4
 
 
 @settings(max_examples=100)
@@ -349,7 +354,7 @@ def test_exact_div_inverses_many_fails_like_the_fold(f, q1, g, q2, q3):
 
 def test_exact_div_inverses_many_names_the_folds_term():
     # The chain clears barred letters once for all divisors, so its own
-    # leading term here would be x1, which is in no operand of the fold.
+    # leading term here would be x1^3, which is in no operand of the fold.
     with pytest.raises(DivisionNotExact) as err:
         poly_exact_div_inverses_many(ONE, [ONE, poly_const(2), x1])
     assert str(err.value) == "remainder nonzero: leading term 1 is not divisible by 2"
@@ -360,7 +365,8 @@ def test_exact_div_inverses_many_names_the_folds_term():
 
 # Binomial divisors: a lead coefficient that is not a unit, a negative
 # second coefficient, a lead spanning several fields, a negative lead,
-# the cleared shape x_i*x_j - 1 of 1 - xb_i*xb_j, and a formal x1 - xb1.
+# x_i*x_j - 1 (1 - xb_i*xb_j times x_i*x_j; the chain clears by a higher
+# power), and a formal x1 - xb1.
 _BINOMIALS = [
     2 * x1 - 3 * ONE,
     x2 - 2 * a1,
@@ -545,6 +551,10 @@ def test_eval_integer():
     assert eval_integer(x1 + xb1 + a1, {X(1): 1, XB(1): 1, A(1): 0}) == 2
     with pytest.raises(MissingAssignment):
         eval_integer(x1 + x2, {X(1): 1})
+    # exact integers only: no truncated float, no parsed string, no bool
+    for bad in (2.7, "3", True):
+        with pytest.raises(ValueError):
+            eval_integer(x1 * x1, {X(1): bad})
 
 
 # ---------------------------------------------------------------------------
