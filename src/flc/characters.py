@@ -9,9 +9,14 @@ alphabet a_1, a_2, ...  It can be computed as
   ``char_raw_diff`` the difference character o' from the entries
   (x_i|a)^m - (xb_i|a)^m).  All three run one pipeline,
   ``_ratio_character``, which divides the numerator determinant exactly
-  by the denominator determinant's binomial factors, or
+  by the denominator determinant's binomial factors.  Their matrices
+  are row-separable (row i uses only pair i's letters, with the same
+  a-coefficients in every row), so both determinants are taken by
+  Cauchy-Binet (``polyring._det_separable``), or
 * a flagged Jacobi-Trudi determinant of h functions (``char_jacobi_trudi``),
-  which involves no division at all.
+  which involves no division at all.  Its matrix is not row-separable
+  (the flagged h of row i spans pairs i..n), so it keeps the cofactor
+  expansion ``polyring._det_cofactor``.
 
 Groups: GL (general linear), SP (symplectic), OO (odd orthogonal), EO
 (even orthogonal, characters of o(2n)), EO_DIFF (the signed difference
@@ -31,10 +36,11 @@ pairs the alternant quotients only exist granting x_i*xb_i = 1 (likewise
 s_i*sb_i = 1): the denominators do not divide the numerators in the free
 ring.  Every character returned here is therefore in the canonical
 form with no matched reciprocal pair inside a monomial
-(``poly_reduce_inverses``): the determinants are expanded on the paired
+(``poly_reduce_inverses``): the determinants are formed on the paired
 packed layout, which cancels x_i*xb_i inside each monomial product, and
-the two ratio routes divide with ``poly_exact_div_inverses_many``.  All
-routes produce that same normal form, which is what the cross-route
+the ratio routes emit their numerator straight under the layout of the
+division chain behind ``poly_exact_div_inverses_many`` (``polyring._Chain``).
+All routes produce that same normal form, which is what the cross-route
 equality tests compare.
 """
 
@@ -50,13 +56,15 @@ from .hfuncs import _CACHE_SIZE, HKind, VarSpec, factorial_power, h
 from .polyring import (
     ONE,
     Poly,
+    _Chain,
     _Layout,
     X,
     XB,
     eval_integer,
     _det_cofactor,
+    _det_separable,
+    _row_bound,
     map_s_to_x,
-    poly_exact_div_inverses_many,
     poly_halve,
     poly_substitute,
     px,
@@ -223,27 +231,32 @@ def weyl_denominator_product(group: Group, n: int) -> Poly:
 _ENTRY_FN = {"raw": _raw_entry, "alternant": _alt_entry}
 
 
+def _route_rows(group: Group, n: int, route: str, exps: Sequence[int]) -> list:
+    """The route's alternant matrix: row i holds pair i's entries at the
+    column exponents ``exps``."""
+    entry = _ENTRY_FN[route]
+    return [[entry(group, i, m) for m in exps] for i in range(1, n + 1)]
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
 def _denominator_info(group: Group, n: int, route: str) -> tuple:
     """The denominator as binomial factors, and whether they match it.
 
     Modulo the pairing u_i*ub_i = 1 each cross factor splits into two
     binomials, u_i + ub_i - u_j - ub_j = (u_i - u_j)(1 - ub_i*ub_j); the
-    other factors are binomials already.  So ``poly_exact_div_inverses_many``
-    divides by two-term factors only, which its sweep serves.
+    other factors are binomials already.  So the division chain
+    (``polyring._Chain``) divides by two-term factors only, which its
+    sweep serves.
 
     ``matches`` records that the reduced (EO: halved) denominator
     determinant equals the reduced product of the binomials, so the ratio
-    can divide factor by factor.  Cached: the denominator of a ratio
-    character depends only on the group, the rank and the route.
+    can divide factor by factor.  The determinant is the route's own
+    alternant by Cauchy-Binet (``_det_separable``), compared on packed
+    ints with the factors' product under one paired layout.  Cached: the
+    denominator of a ratio character depends only on the group, the rank
+    and the route.
     """
-    entry = _ENTRY_FN[route]
-    exps_den = [n - (j + 1) for j in range(n)]
-    denom = _det_cofactor(
-        [[entry(group, i, mj) for mj in exps_den] for i in range(1, n + 1)], paired=True
-    )
-    if group is Group.EO:
-        denom = poly_halve(denom)
+    rows = _route_rows(group, n, route, [n - (j + 1) for j in range(n)])
     # The one-pair h entries already hold each row's own pair factor, so
     # outside GL the alternant route divides only by the cross terms,
     # which are EO's whole denominator (for OO in the x-letters too).
@@ -255,26 +268,13 @@ def _denominator_info(group: Group, n: int, route: str) -> tuple:
         factors.append(u(i) - u(j))
         if factor_group is not Group.GL:
             factors.append(ONE - ub(i) * ub(j))
-    layout, packed = _Layout.for_products(([f] for f in factors), paired=True)
-    matches = denom == layout.to_poly(layout.product(g[0] for g in packed))
+    # One group per row and per factor: the bound covers both sides.
+    layout, packed = _Layout.for_products([*rows, *([f] for f in factors)], paired=True)
+    denom = _det_separable(rows, layout)
+    if group is Group.EO:
+        denom = layout.halve(denom)
+    matches = denom == layout.product(g[0] for g in packed[n:])
     return tuple(factors), matches
-
-
-def _divide_by_denominator(numer: Poly, group: Group, n: int, route: str) -> Poly:
-    """numer / denominator, exact modulo the reciprocal pairing x_i*xb_i = 1.
-
-    The barred letters stand for reciprocals, and the alternant quotients
-    only exist granting that pairing (for two or more pairs the free-ring
-    division genuinely fails).  The division runs factor by factor, which
-    is only sound when the reduced denominator determinant equals the
-    reduced factor product, so that identity is checked, not assumed.
-    """
-    factors, matches = _denominator_info(group, n, route)
-    if not matches:
-        raise ArithmeticError(
-            f"{route} denominator for {group.value}, n={n} differs from its product form"
-        )
-    return poly_exact_div_inverses_many(numer, factors)
 
 
 def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
@@ -282,21 +282,36 @@ def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
     numerator determinant divided by the denominator's binomial factors, for
     the groups the calling route accepts (ValueError otherwise).
 
+    The division chain (``polyring._Chain``) is sized with D the larger
+    of the numerator's row-sum degree bound and the divisors' degrees,
+    and the numerator is emitted by Cauchy-Binet (``_det_separable``)
+    straight under the chain's layout, so it is packed once, cleared,
+    divided and unpacked once; it is unpacked on its own only to replay
+    the stepwise fold when a division fails.  The division runs factor by
+    factor, which is only sound when the reduced denominator determinant
+    equals the reduced factor product, so that identity is checked, not
+    assumed.
+
     EO_DIFF divides by EO's denominator; EO alone carries the eta = 1/2
     of lambda_n = 0, realised by halving the numerator.
     """
     group, n, lam = spec.group, spec.rank, spec.lam
     if group not in groups:
         raise ValueError(f"no alternant-ratio route for group {group}")
-    entry = _ENTRY_FN[route]
-    exps_num = [lam[j] + n - (j + 1) for j in range(n)]
-    numer = _det_cofactor(
-        [[entry(group, i, mj) for mj in exps_num] for i in range(1, n + 1)], paired=True
-    )
-    if group is Group.EO and lam[n - 1] == 0:
-        numer = poly_halve(numer)
     den_group = Group.EO if group is Group.EO_DIFF else group
-    out = _divide_by_denominator(numer, den_group, n, route)
+    factors, matches = _denominator_info(den_group, n, route)
+    if not matches:
+        raise ArithmeticError(
+            f"{route} denominator for {den_group.value}, n={n} differs from its product form"
+        )
+    rows = _route_rows(group, n, route, [lam[j] + n - (j + 1) for j in range(n)])
+    codes: set = set()
+    chain = _Chain(factors, codes, _row_bound(rows, codes))
+    layout = chain.layout
+    numer = _det_separable(rows, layout)
+    if group is Group.EO and lam[n - 1] == 0:
+        numer = layout.halve(numer)
+    out = chain.divide(numer, lambda: layout.to_poly(numer))
     if group is Group.OO and route == "raw":
         out = map_s_to_x(out)
     return out

@@ -145,14 +145,16 @@ def _method_character(group: Group, n: int, lam: tuple, method: str) -> Poly:
     return char_raw_so_even(spec)
 
 
-def _emit(fmt: str, doc: Callable[[], dict], text: Callable[[], Iterable[str]]) -> None:
-    """Print the JSON document or the text, building only the one asked
-    for.  The text's lines are printed as they are produced."""
-    if fmt == "json":
-        print(json.dumps(doc(), indent=2))
-        return
-    for line in text():
+def _emit(fmt: str, doc: Callable[[], Iterable[str]], text: Callable[[], Iterable[str]]) -> None:
+    """Print the JSON document's lines or the text's, building only the
+    one asked for.  Lines are printed as they are produced."""
+    for line in doc() if fmt == "json" else text():
         print(line)
+
+
+def _json(doc: dict) -> List[str]:
+    """A whole JSON document as ``_emit`` prints it."""
+    return [json.dumps(doc, indent=2)]
 
 
 def cmd_char(args: argparse.Namespace) -> int:
@@ -177,16 +179,18 @@ def cmd_char(args: argparse.Namespace) -> int:
     head = {"group": _CANONICAL[group], "rank": args.rank, "lambda": list(lam)}
     if len(results) == 1:
         (p,) = results.values()
-        _emit(args.format, lambda: {**head, "polynomial": poly_to_json(p)}, lambda: [poly_to_str(p)])
+        _emit(args.format, lambda: _json({**head, "polynomial": poly_to_json(p)}), lambda: [poly_to_str(p)])
         return 0
     agree = len(set(results.values())) == 1
     _emit(
         args.format,
-        lambda: {
-            **head,
-            "methods": {m: poly_to_json(p) for m, p in results.items()},
-            "agree": agree,
-        },
+        lambda: _json(
+            {
+                **head,
+                "methods": {m: poly_to_json(p) for m, p in results.items()},
+                "agree": agree,
+            }
+        ),
         lambda: [*(f"{m}: {poly_to_str(p)}" for m, p in results.items()), "AGREE" if agree else "DISAGREE"],
     )
     return 0 if agree else 2
@@ -199,26 +203,39 @@ def cmd_tableaux(args: argparse.Namespace) -> int:
     total = group_tableau_sum(group, args.rank, lam)
     listed = weighted_tableaux(group, args.rank, lam)
 
-    def doc() -> dict:
-        tableaux = [
-            {
-                "rows": tableau_to_json(t),
-                "weight": poly_to_json(w),
-                "zeta": st.zeta,
-                "bar": st.bar,
-                "coeff": c,
-            }
+    def doc() -> Iterator[str]:
+        # The json.dumps(indent=2) text of the whole document, streamed:
+        # each tableau is dumped as it is yielded, indented to its depth,
+        # and followed by a comma once the next one exists.
+        head = {"group": _CANONICAL[group], "rank": args.rank, "lambda": list(lam)}
+        items = (
+            json.dumps(
+                {
+                    "rows": tableau_to_json(t),
+                    "weight": poly_to_json(w),
+                    "zeta": st.zeta,
+                    "bar": st.bar,
+                    "coeff": c,
+                },
+                indent=2,
+            ).replace("\n", "\n    ")
             for t, c, w in listed
             for st in [tab_stats(t, group)]
-        ]
-        return {
-            "group": _CANONICAL[group],
-            "rank": args.rank,
-            "lambda": list(lam),
-            "tableaux": tableaux,
-            "count": len(tableaux),
-            "sum": poly_to_json(total),
-        }
+        )
+        opening = json.dumps(head, indent=2)[:-2] + ',\n  "tableaux": ['
+        count = 0
+        for count, item in enumerate(items, start=1):
+            if count == 1:
+                yield opening
+            else:
+                yield f"    {last},"
+            last = item
+        if count:
+            yield f"    {last}"
+            yield "  ],"
+        else:
+            yield opening + "],"
+        yield json.dumps({"count": count, "sum": poly_to_json(total)}, indent=2)[2:]
 
     def text() -> Iterator[str]:
         count = 0
@@ -400,12 +417,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     _emit(
         args.format,
-        lambda: {
-            "max_rank": args.max_rank,
-            "max_part": args.max_part,
-            "checks": [{"name": name, "ok": ok} for name, ok in outcomes],
-            "ok": not failed,
-        },
+        lambda: _json(
+            {
+                "max_rank": args.max_rank,
+                "max_part": args.max_part,
+                "checks": [{"name": name, "ok": ok} for name, ok in outcomes],
+                "ok": not failed,
+            }
+        ),
         lambda: [*(f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in outcomes), summary],
     )
     return 0 if not failed else 2

@@ -24,9 +24,10 @@ between threads.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Callable, Iterable, Mapping, Sequence, Tuple
 
 __all__ = [
     "VarId",
@@ -440,6 +441,14 @@ def _codes_and_degree(p: Poly, codes: set) -> int:
     return deg
 
 
+def _row_bound(rows: Iterable[Iterable[Poly]], codes: set) -> int:
+    """Add the codes of every entry to ``codes``; return the sum over rows
+    of the row's largest entry degree.  A product that takes at most one
+    entry from each row, and any sum of such products, has total degree
+    at most that."""
+    return sum(max(_codes_and_degree(f, codes) for f in row) for row in rows)
+
+
 class _Layout:
     """A packed-exponent layout shared by every step of one computation.
 
@@ -462,9 +471,10 @@ class _Layout:
         x_i*xb_i cancels inside the add that multiplies two monomials.
         Packing adds colliding terms, so packing is the reduction of
         ``poly_reduce_inverses``, and every product and sum formed on the
-        ints is already reduced.  The routes' determinants
-        (``_det_cofactor(rows, paired=True)``), ``group_tableau_sum`` and
-        the division chain of ``poly_exact_div_inverses_many`` use it.
+        ints is already reduced.  The Jacobi-Trudi determinant
+        (``_det_cofactor(rows, paired=True)``), the ratio routes'
+        determinants (``_det_separable``), ``group_tableau_sum`` and the
+        division chain (``_Chain``) use it.
 
     Every field is ``degree.bit_length() + 1`` bits wide.  A monomial is
     the int sum of e_k * 2^(shift of field k), with a signed digit e_k in
@@ -554,8 +564,7 @@ class _Layout:
         """
         groups = [list(g) for g in groups]
         codes: set = set()
-        bound = sum(max(_codes_and_degree(f, codes) for f in g) for g in groups)
-        layout = cls(codes, bound, paired)
+        layout = cls(codes, _row_bound(groups, codes), paired)
         return layout, [[layout.pack_terms(f) for f in g] for g in groups]
 
     @staticmethod
@@ -610,6 +619,10 @@ class _Layout:
             out[mh + ml] = c
         return _poly(out)
 
+    def halve(self, terms: dict) -> dict:
+        """``poly_halve`` on packed terms."""
+        return _halve_terms(terms, lambda v: str(self.to_poly({v: 1})))
+
 
 def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
     """Packed quotient of rem by divisor, both under ``layout``.
@@ -633,8 +646,8 @@ def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
     every quotient term the same way (the layout's guard test and
     divisibility of the coefficient), and raise DivisionNotExact naming
     the same term and the divisor's lead term, each unpacked by
-    ``layout.to_poly``.  Under the division chain of
-    ``poly_exact_div_inverses_many`` both are cleared monomials.
+    ``layout.to_poly``.  Under the division chain (``_Chain``) both are
+    cleared monomials.
     """
     if len(divisor) == 2:
         return _divide_binomial(rem, divisor, layout)
@@ -804,27 +817,35 @@ def poly_exact_div_inverses(p: Poly, q: Poly) -> Poly:
     return poly_exact_div_inverses_many(p, (q,))
 
 
-def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
-    """Divide p by every divisor in turn, modulo the reciprocal pairing.
+class _Chain:
+    """The division chain behind ``poly_exact_div_inverses_many``: exact
+    division by every divisor in turn, modulo the reciprocal pairing.
 
-    Same result as chaining poly_exact_div_inverses, but the barred
-    letters are cleared once up front and the compensating power folded
-    back once at the end, which matters when a large polynomial is divided
-    by many small factors.
+    Construction sizes the chain (the sizing): ``codes`` must already hold
+    the dividend's codes and ``degree`` must bound its total degree; the
+    divisors' codes and degrees are added here.  ``divide`` is the packed
+    core: it takes the dividend packed under ``layout`` and returns the
+    quotient unpacked.  ``poly_exact_div_inverses_many`` packs a Poly
+    dividend; the ratio routes (``characters._ratio_character``) emit
+    their numerator determinant under ``layout`` directly
+    (``_det_separable``), so it is packed once, cleared, divided and
+    unpacked once.
 
-    The whole chain runs under one paired ``_Layout``: packing p and the
-    divisors reduces them, clearing is one add of a packed plain-letter
-    power per int, and the compensation is one more, folded into the final
-    unpack.  The cleared ints are bar-free with every field >= 0, so they
-    equal the graded packing and ``_divide_packed`` runs on them unchanged.
+    The whole chain runs under one paired ``_Layout``: packing reduces
+    the operands, clearing is one add of a packed plain-letter power per
+    int, and the compensation is one more, folded into the final unpack.
+    The cleared ints are bar-free with every field >= 0, so they equal
+    the graded packing and ``_divide_packed`` runs on them unchanged.
 
-    Clearing is by the degree bound.  With D the largest total degree
-    among p and the divisors, s_k the degree of divisor b_k, S the sum of
-    the s_k, and ``plain`` the product of one plain letter per inverse
-    pair, p is cleared by plain^(D + 2S) and b_k by plain^(s_k).  Each net
-    exponent of p lies in [-D, D] and each of b_k's in [-s_k, s_k], so the
-    cleared operands are bar-free.  So is every cleared quotient: the
-    lowest net exponent of a product is the sum of its factors' lowest, so
+    Clearing is by a degree bound.  Let D be any bound on the total
+    degrees of the dividend p and of the divisors (the largest of them
+    for ``poly_exact_div_inverses_many``, a larger row-sum bound for the
+    ratio routes), s_k the degree of divisor b_k, S the sum of the s_k,
+    and ``plain`` the product of one plain letter per inverse pair; p is
+    cleared by plain^(D + 2S) and b_k by plain^(s_k).  Each net exponent
+    of p lies in [-D, D] and each of b_k's in [-s_k, s_k], so the cleared
+    operands are bar-free.  So is every cleared quotient: the lowest net
+    exponent of a product is the sum of its factors' lowest, so
     Q_k = p / (b_1...b_k) has net exponents >= -D - (s_1 + ... + s_k),
     and step k leaves Q_k * plain^(D + 2S - s_1 - ... - s_k), whose net
     exponents are >= 2S - 2(s_1 + ... + s_k) >= 0.  The stepwise bar-free
@@ -845,41 +866,176 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
     chain fails at step k exactly when the fold does, so with more than
     one divisor the fold is replayed from p to raise its own message; the
     chain's own error is re-raised should the fold succeed.  A single
-    divisor's chain is the fold, and its error is raised as it is.
+    divisor's chain is the fold, and its error is raised as it is; its
+    cleared monomials depend on D.
     """
-    divisors = list(divisors)
+
+    __slots__ = ("divisors", "degrees", "deg", "span", "layout", "plain")
+
+    def __init__(self, divisors: Iterable[Poly], codes: set, degree: int):
+        self.divisors = list(divisors)
+        self.degrees = [_codes_and_degree(q, codes) for q in self.divisors]
+        self.deg = max([degree, *self.degrees])
+        self.span = sum(self.degrees)
+        pairs = len({code - code % 2 for code in codes if code < _A_NEG_LOW})
+        self.layout = _Layout(codes, self.deg + pairs * (self.deg + 2 * self.span), paired=True)
+        self.plain = sum(self.layout.unit[code] for code, _ in self.layout.shifts if code < _A_NEG_LOW)
+
+    def divide(self, a: dict, dividend: Callable[[], Poly]) -> Poly:
+        """The quotient of the packed dividend ``a`` (not consumed) by the
+        divisors; ``dividend()`` gives it as a Poly, for replaying the
+        fold on failure."""
+        layout, plain = self.layout, self.plain
+        divs = [layout.pack_terms(q) for q in self.divisors]
+        if not all(divs):
+            raise DivisionByZero("division by the zero polynomial")
+        if not a:
+            return ZERO
+        clear = (self.deg + 2 * self.span) * plain
+        quot = {v + clear: c for v, c in a.items()}
+        try:
+            for b, s_k in zip(divs, self.degrees):
+                quot = _divide_packed(quot, {v + s_k * plain: c for v, c in b.items()}, layout)
+        except DivisionNotExact:
+            if len(divs) > 1:
+                reduce(poly_exact_div_inverses, self.divisors, dividend())
+            raise
+        return layout.to_poly(quot, -(self.deg + self.span) * plain)
+
+
+def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
+    """Divide p by every divisor in turn, modulo the reciprocal pairing.
+
+    Same result as chaining poly_exact_div_inverses, but the barred
+    letters are cleared once up front and the compensating power folded
+    back once at the end, which matters when a large polynomial is divided
+    by many small factors.  The chain and its clearing are ``_Chain``'s,
+    sized with D the largest total degree among p and the divisors.
+    """
     codes: set = set()
-    degrees = [_codes_and_degree(poly, codes) for poly in [p, *divisors]]
-    deg, span = max(degrees), sum(degrees[1:])
-    pairs = len({code - code % 2 for code in codes if code < _A_NEG_LOW})
-    layout = _Layout(codes, deg + pairs * (deg + 2 * span), paired=True)
-    a = layout.pack_terms(p)
-    divs = [layout.pack_terms(q) for q in divisors]
-    if not all(divs):
-        raise DivisionByZero("division by the zero polynomial")
-    if not a:
-        return ZERO
-    plain = sum(layout.unit[code] for code, _ in layout.shifts if code < _A_NEG_LOW)
-    clear = (deg + 2 * span) * plain
-    quot = {v + clear: c for v, c in a.items()}
-    try:
-        for b, s_k in zip(divs, degrees[1:]):
-            quot = _divide_packed(quot, {v + s_k * plain: c for v, c in b.items()}, layout)
-    except DivisionNotExact:
-        if len(divs) > 1:
-            reduce(poly_exact_div_inverses, divisors, p)
-        raise
-    return layout.to_poly(quot, -(deg + span) * plain)
+    chain = _Chain(divisors, codes, _codes_and_degree(p, codes))
+    return chain.divide(chain.layout.pack_terms(p), lambda: p)
+
+
+def _halve_terms(terms: dict, name: Callable[[object], str]) -> dict:
+    """Every coefficient halved exactly; an odd one raises OddCoefficient,
+    its monomial rendered by ``name``."""
+    out = {}
+    for m, c in terms.items():
+        if c % 2:
+            raise OddCoefficient(f"coefficient {c} of {name(m)} is odd")
+        out[m] = c // 2
+    return out
 
 
 def poly_halve(p: Poly) -> Poly:
     """Divide every coefficient by 2 exactly."""
-    out = {}
-    for m, c in p.terms.items():
-        if c % 2:
-            raise OddCoefficient(f"coefficient {c} of {_mono_str(m) or '1'} is odd")
-        out[m] = c // 2
-    return _poly(out)
+    return _poly(_halve_terms(p.terms, lambda m: _mono_str(m) or "1"))
+
+
+def _det_separable(rows: Sequence[Sequence[Poly]], layout: _Layout) -> dict:
+    """The determinant of a row-separable matrix by Cauchy-Binet, packed
+    under the paired ``layout``, reduced modulo the pairing.
+
+    Row-separable means F[i][j] = sum_e C[j][e] * y_i^e: row i's entries
+    use, besides the a-letters, only the letters of its own pair
+    (y_i = x_i, or s_i for the raw odd-orthogonal route), e is the net
+    exponent y_i^e(yb_i)^(-e), and the a-polynomials C[j][e] are the same
+    in every row.  Each entry is split that way, and a row that uses
+    another pair's letter, or whose table C differs from the first row's,
+    raises ValueError; there is no fallback.  Then F = X * C^T with
+    X[i][e] = y_i^e, and
+
+        det F = sum_E det C[:, E] * det X[:, E]
+
+    over the n-subsets E of the exponents.  The maximal minors det C[:, E]
+    come from a Laplace expansion down the rows of C, bottom-up over
+    column subsets: level r + 1 grows from level r's nonzero minors only.
+    det X[:, E] is the alternant sum_sigma sign(sigma) prod_i y_i^(E_sigma(i)),
+    so each minor is added at each x^(E o sigma), one int add per term.
+    These monomials are distinct across all E and sigma, so nothing
+    cancels and the cost is about the size of the determinant.
+
+    ``layout`` must hold the entries' codes and have a degree bound of at
+    least the row-sum bound (``_row_bound``).  Every term formed is a
+    sub-product of one entry term per row and per column, so within it.
+    The ratio routes pass the division chain's layout (``_Chain``), so
+    their numerator is never unpacked before the division.
+    """
+    n = len(rows)
+    unit = layout.unit
+    table = None
+    units = []
+    for r, row in enumerate(rows):
+        own = (2 * (r + 1), _S_BASE + 2 * (r + 1))
+        y = None
+        split = []
+        for f in row:
+            # (net exponent, a-monomial) -> coefficient; the a-letters sort
+            # last, so the a-monomial is a suffix of the monomial.
+            col: dict = {}
+            for m, c in f.terms.items():
+                e = k = 0
+                for code, x in m:
+                    if code >= _A_NEG_LOW:
+                        break
+                    if code - code % 2 != y:
+                        if y is not None or code - code % 2 not in own:
+                            raise ValueError(
+                                f"not row-separable: row {r + 1} uses {_var_name(code)}, "
+                                f"outside its own pair"
+                            )
+                        y = code - code % 2
+                    e += -x if code % 2 else x
+                    k += 1
+                key = (e, m[k:])
+                col[key] = col.get(key, 0) + c
+            split.append({key: c for key, c in col.items() if c})
+        if table is None:
+            table = split
+        elif split != table:
+            raise ValueError(
+                f"not row-separable: the coefficient table of row {r + 1} differs from row 1's"
+            )
+        units.append(0 if y is None else unit[y])
+    packed = []  # per column of F: net exponent -> packed a-polynomial
+    for col in table or ():
+        by_e: dict = {}
+        for (e, am), c in col.items():
+            by_e.setdefault(e, {})[sum(x * unit[code] for code, x in am)] = c
+        packed.append(by_e)
+    minors: dict = {(): {0: 1}}
+    for j, col in enumerate(packed):
+        grown: dict = {}
+        for cols_e, minor in minors.items():
+            for e, coeffs in col.items():
+                if e in cols_e:
+                    continue
+                k = bisect(cols_e, e)
+                out = grown.setdefault(cols_e[:k] + (e,) + cols_e[k:], {})
+                layout.mul_add(out, coeffs, minor, -1 if (j + k) % 2 else 1)
+        minors = {
+            cols_e: nz for cols_e, out in grown.items() if (nz := {v: c for v, c in out.items() if c})
+        }
+    # Every permutation with its parity: inserting k at position pos
+    # puts it before k - pos smaller values.
+    signed = [((), 0)]
+    for k in range(n):
+        signed = [
+            (perm[:pos] + (k,) + perm[pos:], (odd + k - pos) % 2)
+            for perm, odd in signed
+            for pos in range(k + 1)
+        ]
+    det: dict = {}
+    for cols_e, minor in minors.items():
+        negated = {v: -c for v, c in minor.items()}
+        for perm, odd in signed:
+            xpart = 0
+            for p, u in zip(perm, units):
+                xpart += cols_e[p] * u
+            for v, c in (negated if odd else minor).items():
+                det[v + xpart] = c
+    return det
 
 
 def _det_cofactor(rows: Sequence[Sequence[Poly]], paired: bool = False) -> Poly:
@@ -898,8 +1054,10 @@ def _det_cofactor(rows: Sequence[Sequence[Poly]], paired: bool = False) -> Poly:
 
     ``paired`` selects the paired layout (see ``_Layout``): the
     determinant then comes out reduced modulo x_i*xb_i = 1 and
-    s_i*sb_i = 1, as the characters need it; ``poly_determinant`` keeps
-    the free ring's formal layout.
+    s_i*sb_i = 1, as ``char_jacobi_trudi`` needs it; ``poly_determinant``
+    keeps the free ring's formal layout.  The ratio routes' matrices are
+    row-separable and go through ``_det_separable`` instead; Jacobi-Trudi
+    matrices are not (the flagged h of row i spans pairs i..n).
     """
     k = len(rows)
     while k > 1 and rows[k - 1][k - 1] == ONE and not any(rows[i][k - 1] for i in range(k - 1)):

@@ -32,7 +32,9 @@ from flc.polyring import (
     X,
     XB,
     ZERO,
+    _Layout,
     _det_cofactor,
+    _det_separable,
     map_s_to_x,
     pa,
     poly_determinant,
@@ -313,6 +315,50 @@ def test_inexact_numerator_is_refused(group, route):
     extra = (ps(1) ** 2 if in_s else px(1)) * pa(1)
     with pytest.raises(DivisionNotExact):
         poly_exact_div_inverses_many(numer + extra, factors)
+
+
+_SEPARABLE_ROUTES = [(g, r) for g in BASE_GROUPS for r in ("raw", "alternant")] + [(Group.EO_DIFF, "raw")]
+
+
+@pytest.mark.parametrize("group, route", _SEPARABLE_ROUTES)
+def test_route_determinants_by_cauchy_binet_equal_the_cofactor_expansion(group, route):
+    """Every numerator and denominator matrix of the ratio routes, n <= 3,
+    parts <= 2: Cauchy-Binet on the paired layout equals the cofactor
+    expansion of the same matrix."""
+    for n in (1, 2, 3):
+        for exps in [[n - (j + 1) for j in range(n)]] + [
+            [lam[j] + n - (j + 1) for j in range(n)] for lam in shapes(n, 2)
+        ]:
+            rows = flc.characters._route_rows(group, n, route, exps)
+            layout, _ = _Layout.for_products(rows, paired=True)
+            assert layout.to_poly(_det_separable(rows, layout)) == _det_cofactor(rows, paired=True)
+
+
+@pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm-denominator"))
+def test_route_refuses_a_row_with_shifted_a_letters(monkeypatch, warm):
+    """Row 2's raw entries with every a_k moved to a_(k+1): the matrix is
+    no longer row-separable, so char_raw must raise ValueError, never
+    return a polynomial.  Warm: the true denominator is cached before the
+    fault, so the numerator's own check is what raises."""
+    true_entry = flc.characters._raw_entry
+
+    def shifted(group, i, m):
+        entry = true_entry(group, i, m)
+        if i != 2:
+            return entry
+        return poly_substitute(entry, {v: pa(v.index + 1) for v in entry.variables() if v.kind == "a"})
+
+    spec = char_spec(Group.SP, 2, (1, 1))
+    _denominator_info.cache_clear()
+    try:
+        if warm:
+            _denominator_info(Group.SP, 2, "raw")
+        # the routes read their entry function from _ENTRY_FN
+        monkeypatch.setitem(flc.characters._ENTRY_FN, "raw", shifted)
+        with pytest.raises(ValueError, match="not row-separable"):
+            char_raw(spec)
+    finally:
+        _denominator_info.cache_clear()
 
 
 # ---------------------------------------------------------------------------

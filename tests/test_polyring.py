@@ -24,6 +24,8 @@ from flc.polyring import (
     Poly,
     _Layout,
     _codes_and_degree,
+    _det_cofactor,
+    _det_separable,
     _divide_binomial,
     _divide_heap,
     eval_integer,
@@ -352,6 +354,39 @@ def test_exact_div_inverses_many_fails_like_the_fold(f, q1, g, q2, q3):
     assert str(chained.value) == message
 
 
+@settings(max_examples=150)
+@given(
+    polys(),
+    st.lists(nonzero_polys(), max_size=2),
+    st.lists(st.tuples(st.integers(1, 3), st.booleans(), st.integers(1, 40)), min_size=1, max_size=3),
+    st.data(),
+)
+# xb1 / x1^2 = xb1^3: net exponent -3 = -D - S with D = S = 2
+@example(xb1, [], [(1, False, 2)], None)
+def test_exact_div_inverses_by_letter_powers(f, qs, powers, data):
+    """Divisors x_i^k or xb_i^k, which may carry letters the dividend
+    lacks (x3 never occurs in it).  Each is a unit modulo the pairing, so
+    the quotient is f times the inverse powers, and its net exponents
+    reach -D - S, below anything a product f*q reaches.  A chain that
+    clears the dividend by less than plain^(D + 2S) cannot hold it."""
+    red = poly_reduce_inverses
+    assume(all(red(q) for q in qs))
+    p = f
+    for q in qs:
+        p = p * q
+    quot = f
+    units = []
+    for i, bar, k in powers:
+        units.append((pxb(i) if bar else px(i)) ** k)
+        quot = quot * (px(i) if bar else pxb(i)) ** k
+    divisors = qs + units
+    if data is not None:
+        divisors = data.draw(st.permutations(divisors))
+    assert poly_exact_div_inverses_many(p, divisors) == red(quot)
+    if len(divisors) == 1:
+        assert poly_exact_div_inverses(p, divisors[0]) == red(quot)
+
+
 def test_exact_div_inverses_many_names_the_folds_term():
     # The chain clears barred letters once for all divisors, so its own
     # leading term here would be x1^3, which is in no operand of the fold.
@@ -511,6 +546,78 @@ def matrices(draw):
 @given(matrices())
 def test_determinant_equals_leibniz_on_random_matrices(rows):
     assert poly_determinant(rows) == _leibniz(rows)
+
+
+def _a_poly(terms):
+    p = ZERO
+    for c, ks in terms:
+        m = poly_const(c)
+        for k in ks:
+            m = m * pa(k)
+        p = p + m
+    return p
+
+
+_A_POLYS = st.lists(
+    st.tuples(st.integers(-3, 3), st.lists(st.integers(1, 3), max_size=3)), max_size=3
+).map(_a_poly)
+
+
+@st.composite
+def separable_matrices(draw):
+    """n <= 3 row-separable matrices F[i][j] = sum_e C[j][e] * y_i^e, with
+    y_i = x_i or s_i, Laurent net exponents e (yb_i^(-e) below zero, a few
+    at +-40), a-letter coefficients C[j][e] that may be zero, and
+    (y_i*yb_i - 1)*c added to some entries, which the pairing removes,
+    so the free-ring entries differ from row to row."""
+    n = draw(st.integers(1, 3))
+    exps = st.integers(-3, 3) | st.sampled_from([-40, 40])
+    table = [draw(st.dictionaries(exps, _A_POLYS, max_size=3)) for _ in range(n)]
+    letters = (ps, psb) if draw(st.booleans()) else (px, pxb)
+    rows = []
+    for i in range(1, n + 1):
+        y, yb = letters[0](i), letters[1](i)
+        row = []
+        for col in table:
+            entry = ZERO
+            for e, c in col.items():
+                entry = entry + c * (y ** e if e >= 0 else yb ** -e)
+            if draw(st.booleans()):
+                entry = entry + (y * yb - ONE) * draw(_A_POLYS)
+            row.append(entry)
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=150)
+@given(separable_matrices())
+# x1*xb1 - 1 padding on one row only, against a zero table entry
+@example([[x1 * xb1 - ONE + a1, x1], [a1, x2]])
+def test_det_separable_equals_cofactor_and_leibniz(rows):
+    layout, _ = _Layout.for_products(rows, paired=True)
+    got = layout.to_poly(_det_separable(rows, layout))
+    assert got == _det_cofactor(rows, paired=True) == poly_reduce_inverses(_leibniz(rows))
+
+
+def test_det_separable_refuses_a_table_that_differs_by_row():
+    rows = [[x1 + a1, x1 * x1], [x2 + a2, x2 * x2]]
+    layout, _ = _Layout.for_products(rows, paired=True)
+    with pytest.raises(ValueError, match="coefficient table of row 2 differs from row 1's"):
+        _det_separable(rows, layout)
+
+
+@pytest.mark.parametrize(
+    "rows, name",
+    [
+        ([[x1 + a1, x1 * x1], [x2 + a1, x2 * x1]], "row 2 uses x1"),
+        ([[x1 + a1, xb2], [x2 + a1, xb2]], "row 1 uses xb2"),
+        ([[x1 + a1, ps(1)], [x2 + a1, ps(2)]], "row 1 uses s1"),
+    ],
+)
+def test_det_separable_refuses_another_pairs_letter(rows, name):
+    layout, _ = _Layout.for_products(rows, paired=True)
+    with pytest.raises(ValueError, match=f"{name}, outside its own pair"):
+        _det_separable(rows, layout)
 
 
 @pytest.mark.parametrize("e", [1, 40])
