@@ -8,11 +8,15 @@ alphabet a_1, a_2, ...  It can be computed as
   factorial powers, ``char_alternant`` from one-pair h-series, and
   ``char_raw_diff`` the difference character o' from the entries
   (x_i|a)^m - (xb_i|a)^m).  All three run one pipeline,
-  ``_ratio_character``, which divides the numerator determinant exactly
-  by the denominator determinant's binomial factors.  Their matrices
-  are row-separable (row i uses only pair i's letters, with the same
-  a-coefficients in every row), so both determinants are taken by
-  Cauchy-Binet (``polyring._det_separable``), or
+  ``_ratio_character``, which takes the ratio by linearity.  Their
+  matrices are row-separable (row i uses only pair i's letters, with the
+  same a-coefficients in every row), and the a-letters are inert in the
+  ratio: each column folds onto the route's Weyl basis b_e(y), so by
+  Cauchy-Binet the numerator is sum_E c_E(a) * det[b_e(y_i)]_{e in E},
+  and the character is sum_E c_E(a) * chi_E(x).  Each chi_E, an a-free
+  Weyl alternant divided exactly by the denominator's binomial factors,
+  is divided once per (route, basis group, n, E) and cached
+  (``_weyl_quotient``), or
 * a flagged Jacobi-Trudi determinant of h functions (``char_jacobi_trudi``),
   which involves no division at all.  Its matrix is not row-separable
   (the flagged h of row i spans pairs i..n), so it keeps the cofactor
@@ -24,23 +28,24 @@ o'), and SO_EVEN_PLUS / SO_EVEN_MINUS (the two irreducible so(2n)
 characters, which exist as a genuine split only when lambda has n
 nonzero parts).
 
-The odd-orthogonal ratio involves half-integer powers, so its alternants
-are built in the s-letters with x_i realised as s_i^2; the exact quotient
-is then mapped back to whole x-powers.  The even-orthogonal ratio carries
-a factor eta (1/2 exactly when lambda_n = 0) which is realised by halving
-the numerator determinant in that case; the denominator determinant is
-halved always.  o' divides by that same denominator and is never halved.
+The odd-orthogonal raw ratio involves half-integer powers, so its
+alternants are built in the s-letters with x_i realised as s_i^2; each
+exact quotient chi_E is mapped back to whole x-powers.  The
+even-orthogonal ratio carries a factor eta (1/2 exactly when
+lambda_n = 0) which is realised by halving the sum in that case; the
+denominator determinant is halved always.  o' divides by that same
+denominator and is never halved.
 
 The barred letters are reciprocals of the plain ones, and for two or more
 pairs the alternant quotients only exist granting x_i*xb_i = 1 (likewise
-s_i*sb_i = 1): the denominators do not divide the numerators in the free
+s_i*sb_i = 1): the denominators do not divide the alternants in the free
 ring.  Every character returned here is therefore in the canonical
 form with no matched reciprocal pair inside a monomial
 (``poly_reduce_inverses``): the determinants are formed on the paired
 packed layout, which cancels x_i*xb_i inside each monomial product, and
-the ratio routes emit their numerator straight under the layout of the
-division chain behind ``poly_exact_div_inverses_many`` (``polyring._Chain``).
-All routes produce that same normal form, which is what the cross-route
+each chi_E is emitted straight under the layout of the division chain
+behind ``poly_exact_div_inverses_many`` (``polyring._Chain``).  All
+routes produce that same normal form, which is what the cross-route
 equality tests compare.
 """
 
@@ -50,14 +55,19 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, product
-from typing import Callable, Iterable, List, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from .hfuncs import _CACHE_SIZE, HKind, VarSpec, factorial_power, h
 from .polyring import (
     ONE,
+    S,
+    SB,
     Poly,
     _Chain,
     _Layout,
+    _maximal_minors,
+    _poly,
+    _separable_table,
     X,
     XB,
     eval_integer,
@@ -228,13 +238,12 @@ def weyl_denominator_product(group: Group, n: int) -> Poly:
     return prod
 
 
-_ENTRY_FN = {"raw": _raw_entry, "alternant": _alt_entry}
-
-
 def _route_rows(group: Group, n: int, route: str, exps: Sequence[int]) -> list:
     """The route's alternant matrix: row i holds pair i's entries at the
-    column exponents ``exps``."""
-    entry = _ENTRY_FN[route]
+    column exponents ``exps``.  The entry function is looked up when
+    called, so a test that replaces ``_raw_entry`` or ``_alt_entry``
+    reaches every route."""
+    entry = _raw_entry if route == "raw" else _alt_entry
     return [[entry(group, i, m) for m in exps] for i in range(1, n + 1)]
 
 
@@ -277,44 +286,129 @@ def _denominator_info(group: Group, n: int, route: str) -> tuple:
     return tuple(factors), matches
 
 
+def _basis_sign(group: Group, route: str) -> Optional[int]:
+    """The route's Weyl basis b_e(y), as the sign of its y^(-e) term: None
+    for GL's b_e = y^e (e >= 0), -1 for b_e = y^e - y^(-e) (e >= 1: the
+    raw SP, OO and EO_DIFF routes), +1 for b_0 = 1 and b_e = y^e + y^(-e)
+    (the raw EO route and every alternant route outside GL)."""
+    if group is Group.GL:
+        return None
+    if route == "raw" and group is not Group.EO:
+        return -1
+    return 1
+
+
+def _weyl_columns(table: list, sign: Optional[int]) -> list:
+    """Fold each column's table C[j][e] onto the Weyl basis of ``sign``
+    (``_basis_sign``): the coefficients C'[j][e] at e >= 0 such that
+    F[i][j] = sum_e C'[j][e] * b_e(y_i) holds identically.
+
+    That needs e >= 0 everywhere for GL; C[j][-e] = -C[j][e] and no e = 0
+    term for the odd basis; C[j][-e] = C[j][e] for the even one.  A column
+    that breaks it raises ValueError; there is no fallback.
+    """
+    out = []
+    for j, col in enumerate(table):
+        folded = {}
+        for e, by_a in col.items():
+            if sign is None:
+                fits = e >= 0
+            elif sign < 0:
+                fits = e != 0 and col.get(-e) == {am: -c for am, c in by_a.items()}
+            else:
+                fits = col.get(-e) == by_a
+            if not fits:
+                raise ValueError(
+                    f"column {j + 1} breaks the Weyl symmetry of its basis "
+                    f"at net exponent {e}"
+                )
+            if e >= 0:
+                folded[e] = _poly(by_a)
+        out.append(folded)
+    return out
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _weyl_quotient(route: str, group: Group, n: int, cols_e: tuple) -> Poly:
+    """chi_E = det[b_e(y_i)]_{i, e in E} / Delta: an a-free Weyl alternant
+    of the route's basis divided by its denominator's binomials.
+
+    ``group`` is the basis group, whose Weyl basis and denominator the
+    quotient uses, and ``cols_e`` the ascending exponents E.  The
+    alternant is emitted by Cauchy-Binet straight under the layout of the
+    division chain (``polyring._Chain``), so it is packed once, cleared,
+    divided and unpacked once; the raw OO quotient is mapped from the s-
+    to the x-letters here.  An inexact quotient raises DivisionNotExact.
+    Cached on (route, basis group, n, E): the route is in the key so that
+    the raw and alternant routes never read each other's quotients.
+    """
+    sign = _basis_sign(group, route)
+    in_s = group is Group.OO and route == "raw"
+    y, yb = (S, SB) if in_s else (X, XB)
+
+    def b(i: int, e: int) -> Poly:
+        if sign is None or e == 0:
+            return Poly({((y(i).code(), e),): 1})
+        return Poly({((y(i).code(), e),): 1, ((yb(i).code(), e),): sign})
+
+    rows = [[b(i, e) for e in cols_e] for i in range(1, n + 1)]
+    factors = _denominator_info(Group.EO if group is Group.EO_DIFF else group, n, route)[0]
+    codes: set = set()
+    chain = _Chain(factors, codes, _row_bound(rows, codes))
+    layout = chain.layout
+    alternant = _det_separable(rows, layout)
+    out = chain.divide(alternant, lambda: layout.to_poly(alternant))
+    return map_s_to_x(out) if in_s else out
+
+
 def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
-    """The pipeline of char_raw, char_alternant and char_raw_diff: the
-    numerator determinant divided by the denominator's binomial factors, for
-    the groups the calling route accepts (ValueError otherwise).
+    """The pipeline of char_raw, char_alternant and char_raw_diff, for the
+    groups the calling route accepts (ValueError otherwise): the ratio of
+    the numerator determinant N to the denominator, by linearity.
 
-    The division chain (``polyring._Chain``) is sized with D the larger
-    of the numerator's row-sum degree bound and the divisors' degrees,
-    and the numerator is emitted by Cauchy-Binet (``_det_separable``)
-    straight under the chain's layout, so it is packed once, cleared,
-    divided and unpacked once; it is unpacked on its own only to replay
-    the stepwise fold when a division fails.  The division runs factor by
-    factor, which is only sound when the reduced denominator determinant
-    equals the reduced factor product, so that identity is checked, not
-    assumed.
+    The a-letters are inert in the ratio.  The numerator matrix is split
+    as F[i][j] = sum_e C[j][e](a) * y_i^e (``polyring._separable_table``,
+    which checks row-separability) and folded onto the route's Weyl basis
+    (``_weyl_columns``, which checks the symmetry), so F = B * C'^T with
+    B[i][e] = b_e(y_i).  By Cauchy-Binet N = sum_E det C'[:, E] * det B[:, E]
+    exactly, and the character is sum_E c_E(a) * chi_E(x) with
+    c_E = det C'[:, E] (``polyring._maximal_minors``) and chi_E the cached
+    quotient ``_weyl_quotient``.  The x- and a-letters are disjoint, so each
+    product monomial is the concatenation of the two.
 
-    EO_DIFF divides by EO's denominator; EO alone carries the eta = 1/2
-    of lambda_n = 0, realised by halving the numerator.
+    chi_E divides by the denominator's binomials factor by factor, which
+    is only sound when the reduced denominator determinant equals the
+    reduced factor product, so that identity is checked, not assumed.
+    EO_DIFF divides by EO's denominator; EO alone carries the eta = 1/2 of
+    lambda_n = 0, realised by halving the sum exactly.
     """
     group, n, lam = spec.group, spec.rank, spec.lam
     if group not in groups:
         raise ValueError(f"no alternant-ratio route for group {group}")
+    rows = _route_rows(group, n, route, [lam[j] + n - (j + 1) for j in range(n)])
+    columns = _weyl_columns(_separable_table(rows)[0], _basis_sign(group, route))
     den_group = Group.EO if group is Group.EO_DIFF else group
-    factors, matches = _denominator_info(den_group, n, route)
-    if not matches:
+    if not _denominator_info(den_group, n, route)[1]:
         raise ArithmeticError(
             f"{route} denominator for {den_group.value}, n={n} differs from its product form"
         )
-    rows = _route_rows(group, n, route, [lam[j] + n - (j + 1) for j in range(n)])
-    codes: set = set()
-    chain = _Chain(factors, codes, _row_bound(rows, codes))
-    layout = chain.layout
-    numer = _det_separable(rows, layout)
+    layout, packed = _Layout.for_products((col.values() for col in columns), paired=True)
+    minors = _maximal_minors([dict(zip(col, p)) for col, p in zip(columns, packed)], layout)
+    # Outside GL every alternant route has the even basis over EO's cross
+    # factors, so SP, OO and EO share their quotients there.
+    basis_group = Group.EO if route == "alternant" and group is not Group.GL else group
+    out: dict = {}
+    get = out.get
+    for cols_e, minor in minors.items():
+        chi = _weyl_quotient(route, basis_group, n, cols_e).terms.items()
+        for ma, ca in layout.to_poly(minor).terms.items():
+            for mx, cx in chi:
+                m = mx + ma
+                out[m] = get(m, 0) + cx * ca
+    char = _poly({m: c for m, c in out.items() if c})
     if group is Group.EO and lam[n - 1] == 0:
-        numer = layout.halve(numer)
-    out = chain.divide(numer, lambda: layout.to_poly(numer))
-    if group is Group.OO and route == "raw":
-        out = map_s_to_x(out)
-    return out
+        char = poly_halve(char)
+    return char
 
 
 def char_raw(spec: CharSpec) -> Poly:

@@ -443,10 +443,10 @@ def _codes_and_degree(p: Poly, codes: set) -> int:
 
 def _row_bound(rows: Iterable[Iterable[Poly]], codes: set) -> int:
     """Add the codes of every entry to ``codes``; return the sum over rows
-    of the row's largest entry degree.  A product that takes at most one
-    entry from each row, and any sum of such products, has total degree
-    at most that."""
-    return sum(max(_codes_and_degree(f, codes) for f in row) for row in rows)
+    of the row's largest entry degree (0 for an empty row).  A product
+    that takes at most one entry from each row, and any sum of such
+    products, has total degree at most that."""
+    return sum(max((_codes_and_degree(f, codes) for f in row), default=0) for row in rows)
 
 
 class _Layout:
@@ -473,8 +473,8 @@ class _Layout:
         ``poly_reduce_inverses``, and every product and sum formed on the
         ints is already reduced.  The Jacobi-Trudi determinant
         (``_det_cofactor(rows, paired=True)``), the ratio routes'
-        determinants (``_det_separable``), ``group_tableau_sum`` and the
-        division chain (``_Chain``) use it.
+        determinants and minors (``_det_separable``, ``_maximal_minors``),
+        ``group_tableau_sum`` and the division chain (``_Chain``) use it.
 
     Every field is ``degree.bit_length() + 1`` bits wide.  A monomial is
     the int sum of e_k * 2^(shift of field k), with a signed digit e_k in
@@ -826,10 +826,10 @@ class _Chain:
     divisors' codes and degrees are added here.  ``divide`` is the packed
     core: it takes the dividend packed under ``layout`` and returns the
     quotient unpacked.  ``poly_exact_div_inverses_many`` packs a Poly
-    dividend; the ratio routes (``characters._ratio_character``) emit
-    their numerator determinant under ``layout`` directly
-    (``_det_separable``), so it is packed once, cleared, divided and
-    unpacked once.
+    dividend; the ratio routes' Weyl quotients
+    (``characters._weyl_quotient``) emit their a-free alternant under
+    ``layout`` directly (``_det_separable``), so it is packed once,
+    cleared, divided and unpacked once.
 
     The whole chain runs under one paired ``_Layout``: packing reduces
     the operands, clearing is one add of a packed plain-letter power per
@@ -840,7 +840,7 @@ class _Chain:
     Clearing is by a degree bound.  Let D be any bound on the total
     degrees of the dividend p and of the divisors (the largest of them
     for ``poly_exact_div_inverses_many``, a larger row-sum bound for the
-    ratio routes), s_k the degree of divisor b_k, S the sum of the s_k,
+    Weyl quotients), s_k the degree of divisor b_k, S the sum of the s_k,
     and ``plain`` the product of one plain letter per inverse pair; p is
     cleared by plain^(D + 2S) and b_k by plain^(s_k).  Each net exponent
     of p lies in [-D, D] and each of b_k's in [-s_k, s_k], so the cleared
@@ -933,45 +933,30 @@ def poly_halve(p: Poly) -> Poly:
     return _poly(_halve_terms(p.terms, lambda m: _mono_str(m) or "1"))
 
 
-def _det_separable(rows: Sequence[Sequence[Poly]], layout: _Layout) -> dict:
-    """The determinant of a row-separable matrix by Cauchy-Binet, packed
-    under the paired ``layout``, reduced modulo the pairing.
+def _separable_table(rows: Sequence[Sequence[Poly]]) -> Tuple[list, list]:
+    """Split each entry of a row-separable matrix F as
+    F[i][j] = sum_e C[j][e] * y_i^e.
 
-    Row-separable means F[i][j] = sum_e C[j][e] * y_i^e: row i's entries
-    use, besides the a-letters, only the letters of its own pair
-    (y_i = x_i, or s_i for the raw odd-orthogonal route), e is the net
-    exponent y_i^e(yb_i)^(-e), and the a-polynomials C[j][e] are the same
-    in every row.  Each entry is split that way, and a row that uses
+    Row-separable means: row i's entries use, besides the a-letters, only
+    the letters of its own pair (y_i = x_i, or s_i for the raw
+    odd-orthogonal route), e is the net exponent y_i^e(yb_i)^(-e), and the
+    a-polynomials C[j][e] are the same in every row.  A row that uses
     another pair's letter, or whose table C differs from the first row's,
-    raises ValueError; there is no fallback.  Then F = X * C^T with
-    X[i][e] = y_i^e, and
+    raises ValueError; there is no fallback.
 
-        det F = sum_E det C[:, E] * det X[:, E]
-
-    over the n-subsets E of the exponents.  The maximal minors det C[:, E]
-    come from a Laplace expansion down the rows of C, bottom-up over
-    column subsets: level r + 1 grows from level r's nonzero minors only.
-    det X[:, E] is the alternant sum_sigma sign(sigma) prod_i y_i^(E_sigma(i)),
-    so each minor is added at each x^(E o sigma), one int add per term.
-    These monomials are distinct across all E and sigma, so nothing
-    cancels and the cost is about the size of the determinant.
-
-    ``layout`` must hold the entries' codes and have a degree bound of at
-    least the row-sum bound (``_row_bound``).  Every term formed is a
-    sub-product of one entry term per row and per column, so within it.
-    The ratio routes pass the division chain's layout (``_Chain``), so
-    their numerator is never unpacked before the division.
+    Returns the table, one dict per column of F mapping e to the
+    a-polynomial C[j][e] as {a-monomial: coefficient} (zero-free), and
+    per row the code of its plain letter y_i (None for a row of
+    constants).
     """
-    n = len(rows)
-    unit = layout.unit
     table = None
-    units = []
+    ys = []
     for r, row in enumerate(rows):
         own = (2 * (r + 1), _S_BASE + 2 * (r + 1))
         y = None
         split = []
         for f in row:
-            # (net exponent, a-monomial) -> coefficient; the a-letters sort
+            # net exponent -> {a-monomial: coefficient}; the a-letters sort
             # last, so the a-monomial is a suffix of the monomial.
             col: dict = {}
             for m, c in f.terms.items():
@@ -988,24 +973,34 @@ def _det_separable(rows: Sequence[Sequence[Poly]], layout: _Layout) -> dict:
                         y = code - code % 2
                     e += -x if code % 2 else x
                     k += 1
-                key = (e, m[k:])
-                col[key] = col.get(key, 0) + c
-            split.append({key: c for key, c in col.items() if c})
+                by_a = col.setdefault(e, {})
+                by_a[m[k:]] = by_a.get(m[k:], 0) + c
+            split.append(
+                {e: nz for e, by_a in col.items() if (nz := {am: c for am, c in by_a.items() if c})}
+            )
         if table is None:
             table = split
         elif split != table:
             raise ValueError(
                 f"not row-separable: the coefficient table of row {r + 1} differs from row 1's"
             )
-        units.append(0 if y is None else unit[y])
-    packed = []  # per column of F: net exponent -> packed a-polynomial
-    for col in table or ():
-        by_e: dict = {}
-        for (e, am), c in col.items():
-            by_e.setdefault(e, {})[sum(x * unit[code] for code, x in am)] = c
-        packed.append(by_e)
+        ys.append(y)
+    return table or [], ys
+
+
+def _maximal_minors(columns: Sequence[Mapping[int, dict]], layout: _Layout) -> dict:
+    """The nonzero maximal minors det C[:, E] of a coefficient table.
+
+    ``columns[j]`` maps each exponent e to C[j][e], packed under
+    ``layout``; E runs over the n-subsets of the exponents, n the number
+    of columns, and each key is E as an ascending tuple.  A Laplace
+    expansion down the rows of C, bottom-up over column subsets: level
+    r + 1 grows from level r's nonzero minors only.  Each minor is a sum
+    of products of one C[j][e] per j, so ``layout`` must bound the sum
+    over j of the largest degree of C[j][e].
+    """
     minors: dict = {(): {0: 1}}
-    for j, col in enumerate(packed):
+    for j, col in enumerate(columns):
         grown: dict = {}
         for cols_e, minor in minors.items():
             for e, coeffs in col.items():
@@ -1017,6 +1012,45 @@ def _det_separable(rows: Sequence[Sequence[Poly]], layout: _Layout) -> dict:
         minors = {
             cols_e: nz for cols_e, out in grown.items() if (nz := {v: c for v, c in out.items() if c})
         }
+    return minors
+
+
+def _det_separable(rows: Sequence[Sequence[Poly]], layout: _Layout) -> dict:
+    """The determinant of a row-separable matrix by Cauchy-Binet, packed
+    under the paired ``layout``, reduced modulo the pairing.
+
+    Each entry is split as F[i][j] = sum_e C[j][e] * y_i^e, with both
+    preconditions checked (``_separable_table``).  Then F = X * C^T with
+    X[i][e] = y_i^e, and
+
+        det F = sum_E det C[:, E] * det X[:, E]
+
+    over the n-subsets E of the exponents.  The maximal minors det C[:, E]
+    come from ``_maximal_minors``.  det X[:, E] is the alternant
+    sum_sigma sign(sigma) prod_i y_i^(E_sigma(i)), so each minor is added
+    at each x^(E o sigma), one int add per term.  These monomials are
+    distinct across all E and sigma, so nothing cancels and the cost is
+    about the size of the determinant.
+
+    ``layout`` must hold the entries' codes and have a degree bound of at
+    least the row-sum bound (``_row_bound``).  Every term formed is a
+    sub-product of one entry term per row and per column, so within it.
+    The ratio routes' Weyl quotients pass the division chain's layout
+    (``_Chain``), so their alternants are never unpacked before the
+    division.
+    """
+    n = len(rows)
+    unit = layout.unit
+    table, ys = _separable_table(rows)
+    packed = [
+        {
+            e: {sum(x * unit[code] for code, x in am): c for am, c in by_a.items()}
+            for e, by_a in col.items()
+        }
+        for col in table
+    ]
+    minors = _maximal_minors(packed, layout)
+    units = [0 if y is None else unit[y] for y in ys]
     # Every permutation with its parity: inserting k at position pos
     # puts it before k - pos smaller values.
     signed = [((), 0)]
@@ -1056,8 +1090,9 @@ def _det_cofactor(rows: Sequence[Sequence[Poly]], paired: bool = False) -> Poly:
     determinant then comes out reduced modulo x_i*xb_i = 1 and
     s_i*sb_i = 1, as ``char_jacobi_trudi`` needs it; ``poly_determinant``
     keeps the free ring's formal layout.  The ratio routes' matrices are
-    row-separable and go through ``_det_separable`` instead; Jacobi-Trudi
-    matrices are not (the flagged h of row i spans pairs i..n).
+    row-separable and go through ``_separable_table`` instead;
+    Jacobi-Trudi matrices are not (the flagged h of row i spans pairs
+    i..n).
     """
     k = len(rows)
     while k > 1 and rows[k - 1][k - 1] == ONE and not any(rows[i][k - 1] for i in range(k - 1)):

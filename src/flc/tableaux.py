@@ -413,11 +413,13 @@ def _transfer_sum(
     w_k(r) * sum of rule(k, r'[0], r[0]) * S_{k-1}(r') over the rows r'
     above r.  Each S_{k-1} is popped as it is spread into the level-k
     accumulators, and each accumulator is popped as it is multiplied by
-    its row's cell factors, one binomial at a time.  The last level has no
-    accumulators: each S of the level above is folded into the total as
-    soon as it is formed, times its fan, the sum of rule * w over the
-    last rows that may sit under it.  So at most one level's sums are
-    alive at once, and of the level above the last only one sum.
+    its row's cell factors, one binomial at a time, after dropping the
+    zeros that a signed rule leaves where terms cancel.  The last level
+    has no accumulators: each S of the level above is folded into the
+    total as soon as it is formed, times its fan, the sum of rule * w
+    over the last rows that may sit under it.  So at most one level's
+    sums are alive at once, and of the level above the last only one
+    sum.
     """
     depth = len(levels)
     if not depth:
@@ -461,6 +463,8 @@ def _transfer_sum(
                     into[m] = get(m, 0) + c * v
         while acc:
             row, s = acc.popitem()
+            if 0 in s.values():  # a signed rule cancelled terms
+                s = {m: v for m, v in s.items() if v}
             for cell, p in zip(cells, row):
                 out: dict = {}
                 mul_add(out, cell[p], s)

@@ -10,6 +10,7 @@ from flc.characters import (
     CharSpec,
     Group,
     _denominator_info,
+    _weyl_quotient,
     char_alternant,
     char_jacobi_trudi,
     char_raw,
@@ -24,7 +25,7 @@ from flc.characters import (
     weyl_denominator_product,
     zero_a,
 )
-from flc.hfuncs import factorial_power
+from flc.hfuncs import _CACHE_SIZE, factorial_power
 from flc.tableaux import group_tableau_sum, tableau_sum
 from flc.polyring import (
     ONE,
@@ -35,6 +36,7 @@ from flc.polyring import (
     _Layout,
     _det_cofactor,
     _det_separable,
+    _separable_table,
     map_s_to_x,
     pa,
     poly_determinant,
@@ -304,9 +306,8 @@ def test_inexact_numerator_is_refused(group, route):
     """One extra term, x1*a1, in a real numerator: the division by the
     route's binomials must raise, never return a quotient."""
     n, lam = 3, (2, 1, 0)
-    entry = flc.characters._ENTRY_FN[route]
     exps = [lam[j] + n - (j + 1) for j in range(n)]
-    numer = _det_cofactor([[entry(group, i, m) for m in exps] for i in range(1, n + 1)], paired=True)
+    numer = _det_cofactor(flc.characters._route_rows(group, n, route, exps), paired=True)
     factors, matches = _denominator_info(group, n, route)
     assert matches
     in_s = group is Group.OO and route == "raw"
@@ -334,6 +335,11 @@ def test_route_determinants_by_cauchy_binet_equal_the_cofactor_expansion(group, 
             assert layout.to_poly(_det_separable(rows, layout)) == _det_cofactor(rows, paired=True)
 
 
+def _clear_ratio_caches():
+    _denominator_info.cache_clear()
+    _weyl_quotient.cache_clear()
+
+
 @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm-denominator"))
 def test_route_refuses_a_row_with_shifted_a_letters(monkeypatch, warm):
     """Row 2's raw entries with every a_k moved to a_(k+1): the matrix is
@@ -349,16 +355,96 @@ def test_route_refuses_a_row_with_shifted_a_letters(monkeypatch, warm):
         return poly_substitute(entry, {v: pa(v.index + 1) for v in entry.variables() if v.kind == "a"})
 
     spec = char_spec(Group.SP, 2, (1, 1))
-    _denominator_info.cache_clear()
+    _clear_ratio_caches()
     try:
         if warm:
             _denominator_info(Group.SP, 2, "raw")
-        # the routes read their entry function from _ENTRY_FN
-        monkeypatch.setitem(flc.characters._ENTRY_FN, "raw", shifted)
+        monkeypatch.setattr(flc.characters, "_raw_entry", shifted)
         with pytest.raises(ValueError, match="not row-separable"):
             char_raw(spec)
     finally:
-        _denominator_info.cache_clear()
+        _clear_ratio_caches()
+
+
+@pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
+@pytest.mark.parametrize("group, route", [(Group.SP, "raw"), (Group.EO, "alternant")])
+def test_route_refuses_a_column_that_breaks_the_weyl_symmetry(monkeypatch, group, route, warm):
+    """Every entry of the route gains a1*x_i, a plain-side term with no
+    barred mirror: the matrix stays row-separable, but its columns no
+    longer fold onto the route's Weyl basis, so the route must raise
+    ValueError, never return a polynomial.  Warm: the true denominator and
+    quotients are cached before the fault."""
+    name = "_raw_entry" if route == "raw" else "_alt_entry"
+    true_entry = getattr(flc.characters, name)
+    char = char_raw if route == "raw" else char_alternant
+
+    def broken(g, i, m):
+        return true_entry(g, i, m) + pa(1) * px(i)
+
+    spec = char_spec(group, 2, (1, 1))
+    _clear_ratio_caches()
+    try:
+        if warm:
+            char(spec)
+        monkeypatch.setattr(flc.characters, name, broken)
+        rows = flc.characters._route_rows(group, 2, route, [2, 1])
+        _separable_table(rows)  # row-separable still
+        with pytest.raises(ValueError, match="Weyl symmetry"):
+            char(spec)
+    finally:
+        _clear_ratio_caches()
+
+
+def test_inexact_weyl_quotient_is_refused(monkeypatch):
+    """A denominator list with one binomial too many, x1 + 1, that still
+    claims to match: the quotients chi_E are then inexact, and the route
+    must raise DivisionNotExact, never return a polynomial."""
+    true_info = flc.characters._denominator_info
+
+    def one_too_many(group, n, route):
+        factors, matches = true_info(group, n, route)
+        return factors + (px(1) + ONE,), matches
+
+    _clear_ratio_caches()
+    try:
+        monkeypatch.setattr(flc.characters, "_denominator_info", one_too_many)
+        with pytest.raises(DivisionNotExact):
+            char_raw(char_spec(Group.SP, 2, (1, 1)))
+    finally:
+        _clear_ratio_caches()
+
+
+def _route_character(group, route, n, lam):
+    if group is Group.EO_DIFF:
+        return char_raw_diff(n, lam)
+    return (char_raw if route == "raw" else char_alternant)(char_spec(group, n, lam))
+
+
+def _ratio_by_whole_division(group, route, n, lam):
+    """The ratio routes' earlier arithmetic: the whole numerator
+    determinant by cofactor expansion, divided by the binomials."""
+    exps = [lam[j] + n - (j + 1) for j in range(n)]
+    numer = _det_cofactor(flc.characters._route_rows(group, n, route, exps), paired=True)
+    factors, matches = _denominator_info(Group.EO if group is Group.EO_DIFF else group, n, route)
+    assert matches
+    out = poly_exact_div_inverses_many(numer, factors)
+    if group is Group.EO and lam[-1] == 0:
+        out = poly_halve(out)
+    return map_s_to_x(out) if group is Group.OO and route == "raw" else out
+
+
+@pytest.mark.parametrize("group, route", _SEPARABLE_ROUTES)
+def test_ratio_by_linearity_equals_the_whole_division(group, route):
+    """Sum c_E * chi_E equals dividing the whole numerator, on every
+    shape with n <= 3 and parts <= 3, and for SP, OO and EO on
+    lambda = (1,1,1,1); the quotient cache stays bounded."""
+    cases = [(n, lam) for n in (1, 2, 3) for lam in shapes(n, 3)]
+    if group in (Group.SP, Group.OO, Group.EO):
+        cases.append((4, (1, 1, 1, 1)))
+    for n, lam in cases:
+        want = _ratio_by_whole_division(group, route, n, lam)
+        assert _route_character(group, route, n, lam) == want, (n, lam)
+    assert _weyl_quotient.cache_info().maxsize == _CACHE_SIZE
 
 
 # ---------------------------------------------------------------------------
