@@ -14,9 +14,9 @@ alphabet a_1, a_2, ...  It can be computed as
   ratio: each column folds onto the route's Weyl basis b_e(y), so by
   Cauchy-Binet the numerator is sum_E c_E(a) * det[b_e(y_i)]_{e in E},
   and the character is sum_E c_E(a) * chi_E(x).  Each chi_E, an a-free
-  Weyl alternant divided exactly by the denominator's binomial factors,
-  is divided once per (route, basis group, n, E) and cached
-  (``_weyl_quotient``), or
+  Weyl alternant over the denominator, is a bialternant in the orbit
+  letters z_i = x_i + xb_i, divided in their free ring once per (route,
+  basis group, n, E) and cached (``_weyl_quotient``), or
 * a flagged Jacobi-Trudi determinant of h functions (``char_jacobi_trudi``),
   which involves no division at all.  Its matrix is not row-separable
   (the flagged h of row i spans pairs i..n), so it keeps the cofactor
@@ -29,24 +29,24 @@ characters, which exist as a genuine split only when lambda has n
 nonzero parts).
 
 The odd-orthogonal raw ratio involves half-integer powers, so its
-alternants are built in the s-letters with x_i realised as s_i^2; each
-exact quotient chi_E is mapped back to whole x-powers.  The
-even-orthogonal ratio carries a factor eta (1/2 exactly when
-lambda_n = 0) which is realised by halving the sum in that case; the
-denominator determinant is halved always.  o' divides by that same
+matrices are built in the s-letters with x_i realised as s_i^2; its
+quotients chi_E need no s-letters, since z_i = s_i^2 + sb_i^2 is
+x_i + xb_i.  The even-orthogonal ratio carries a factor eta (1/2 exactly
+when lambda_n = 0) which is realised by halving the sum in that case;
+the denominator determinant is halved always.  o' divides by that same
 denominator and is never halved.
 
 The barred letters are reciprocals of the plain ones, and for two or more
 pairs the alternant quotients only exist granting x_i*xb_i = 1 (likewise
 s_i*sb_i = 1): the denominators do not divide the alternants in the free
-ring.  Every character returned here is therefore in the canonical
-form with no matched reciprocal pair inside a monomial
-(``poly_reduce_inverses``): the determinants are formed on the paired
-packed layout, which cancels x_i*xb_i inside each monomial product, and
-each chi_E is emitted straight under the layout of the division chain
-behind ``poly_exact_div_inverses_many`` (``polyring._Chain``).  All
-routes produce that same normal form, which is what the cross-route
-equality tests compare.
+ring of the x- and xb-letters.  No route divides modulo that pairing:
+each chi_E is divided in the free ring of the z_i, where every cross
+factor of the denominator is z_i - z_j.  Every character returned here is
+in the canonical form with no matched reciprocal pair inside a monomial
+(``poly_reduce_inverses``): the determinants are formed, and each chi_E
+is expanded by z_i -> x_i + xb_i, on the paired packed layout, which
+cancels x_i*xb_i inside each monomial product.  All routes produce that
+same normal form, which is what the cross-route equality tests compare.
 """
 
 from __future__ import annotations
@@ -54,16 +54,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, product, zip_longest
+from math import comb
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from .hfuncs import _CACHE_SIZE, HKind, VarSpec, factorial_power, h
 from .polyring import (
     ONE,
-    S,
-    SB,
     Poly,
-    _Chain,
     _Layout,
     _maximal_minors,
     _poly,
@@ -73,10 +71,12 @@ from .polyring import (
     eval_integer,
     _det_cofactor,
     _det_separable,
+    _divide_packed,
     _row_bound,
-    map_s_to_x,
     poly_halve,
+    poly_reduce_inverses,
     poly_substitute,
+    poly_sum,
     px,
     pxb,
     ps,
@@ -201,14 +201,6 @@ def _alt_entry(group: Group, i: int, m: int) -> Poly:
     return entry
 
 
-def _pair_letters(group: Group) -> tuple:
-    """u_i and ub_i, the two letters of pair i in the denominator's
-    factors: s_i^2 and sb_i^2 for OO, x_i and xb_i otherwise."""
-    if group is Group.OO:
-        return (lambda i: ps(i) * ps(i)), (lambda i: psb(i) * psb(i))
-    return px, pxb
-
-
 def _own_pair_factors(group: Group, n: int) -> list:
     if group is Group.SP:
         return [px(i) - pxb(i) for i in range(1, n + 1)]
@@ -220,14 +212,13 @@ def _own_pair_factors(group: Group, n: int) -> list:
 def _denominator_factors(group: Group, n: int) -> list:
     """The factors of the denominator's product form: SP's x_i - xb_i or
     OO's s_i - sb_i, then for each i < j GL's x_i - x_j or the cross
-    factor u_i + ub_i - u_j - ub_j."""
+    factor z_i - z_j, with z_i = u_i + ub_i the orbit letter of pair i:
+    s_i^2 + sb_i^2 for OO, x_i + xb_i otherwise."""
     if group not in _RATIO_GROUPS:
         raise ValueError(f"no denominator product for group {group}")
-    u, ub = _pair_letters(group)
-    out = _own_pair_factors(group, n)
-    for i, j in combinations(range(1, n + 1), 2):
-        out.append(u(i) - u(j) if group is Group.GL else u(i) + ub(i) - u(j) - ub(j))
-    return out
+    y, yb, k = (ps, psb, 2) if group is Group.OO else (px, pxb, 1)
+    z = {i: y(i) if group is Group.GL else y(i) ** k + yb(i) ** k for i in range(1, n + 1)}
+    return _own_pair_factors(group, n) + [z[i] - z[j] for i, j in combinations(range(1, n + 1), 2)]
 
 
 def weyl_denominator_product(group: Group, n: int) -> Poly:
@@ -248,42 +239,30 @@ def _route_rows(group: Group, n: int, route: str, exps: Sequence[int]) -> list:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _denominator_info(group: Group, n: int, route: str) -> tuple:
-    """The denominator as binomial factors, and whether they match it.
+def _denominator_info(group: Group, n: int, route: str) -> bool:
+    """Whether the route's denominator determinant matches its product form.
 
-    Modulo the pairing u_i*ub_i = 1 each cross factor splits into two
-    binomials, u_i + ub_i - u_j - ub_j = (u_i - u_j)(1 - ub_i*ub_j); the
-    other factors are binomials already.  So the division chain
-    (``polyring._Chain``) divides by two-term factors only, which its
-    sweep serves.
-
-    ``matches`` records that the reduced (EO: halved) denominator
-    determinant equals the reduced product of the binomials, so the ratio
-    can divide factor by factor.  The determinant is the route's own
-    alternant by Cauchy-Binet (``_det_separable``), compared on packed
-    ints with the factors' product under one paired layout.  Cached: the
-    denominator of a ratio character depends only on the group, the rank
-    and the route.
+    The reduced determinant is compared with the reduced product of
+    ``_denominator_factors`` (EO: twice it); their equality is what lets
+    each Weyl quotient cancel the own-pair factors and divide by the
+    cross factors z_i - z_j (``_weyl_quotient``).  The determinant is the
+    route's own alternant by Cauchy-Binet (``_det_separable``), compared
+    on packed ints with the factors' product under one paired layout.
+    Cached: the denominator of a ratio character depends only on the
+    group, the rank and the route.
     """
     rows = _route_rows(group, n, route, [n - (j + 1) for j in range(n)])
     # The one-pair h entries already hold each row's own pair factor, so
     # outside GL the alternant route divides only by the cross terms,
     # which are EO's whole denominator (for OO in the x-letters too).
-    cross_only = route == "alternant" and group is not Group.GL
-    factor_group = Group.EO if cross_only else group
-    u, ub = _pair_letters(factor_group)
-    factors = _own_pair_factors(factor_group, n)
-    for i, j in combinations(range(1, n + 1), 2):
-        factors.append(u(i) - u(j))
-        if factor_group is not Group.GL:
-            factors.append(ONE - ub(i) * ub(j))
+    factor_group = Group.EO if route == "alternant" and group is not Group.GL else group
+    factors = _denominator_factors(factor_group, n)
     # One group per row and per factor: the bound covers both sides.
     layout, packed = _Layout.for_products([*rows, *([f] for f in factors)], paired=True)
-    denom = _det_separable(rows, layout)
+    prod = layout.product(g[0] for g in packed[n:])
     if group is Group.EO:
-        denom = layout.halve(denom)
-    matches = denom == layout.product(g[0] for g in packed[n:])
-    return tuple(factors), matches
+        prod = {v: 2 * c for v, c in prod.items()}
+    return _det_separable(rows, layout) == prod
 
 
 def _basis_sign(group: Group, route: str) -> Optional[int]:
@@ -328,37 +307,111 @@ def _weyl_columns(table: list, sign: Optional[int]) -> list:
     return out
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _weyl_quotient(route: str, group: Group, n: int, cols_e: tuple) -> Poly:
-    """chi_E = det[b_e(y_i)]_{i, e in E} / Delta: an a-free Weyl alternant
-    of the route's basis divided by its denominator's binomials.
+def _chebyshev(k: int, w0: list, w1: list) -> list:
+    """w_k(z) as coefficients by power of z, for w_(k+1) = z*w_k - w_(k-1)
+    from w0 and w1: U_k from 1 and z, V_k from 2 and z, U_k + U_(k-1) from
+    1 and z + 1."""
+    for _ in range(k):
+        w0, w1 = w1, [a - b for a, b in zip_longest([0] + w1, w0, fillvalue=0)]
+    return w0
 
-    ``group`` is the basis group, whose Weyl basis and denominator the
-    quotient uses, and ``cols_e`` the ascending exponents E.  The
-    alternant is emitted by Cauchy-Binet straight under the layout of the
-    division chain (``polyring._Chain``), so it is packed once, cleared,
-    divided and unpacked once; the raw OO quotient is mapped from the s-
-    to the x-letters here.  An inexact quotient raises DivisionNotExact.
-    Cached on (route, basis group, n, E): the route is in the key so that
-    the raw and alternant routes never read each other's quotients.
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _z_basis(route: str, group: Group, e: int) -> tuple:
+    """p_e, the route's Weyl basis element b_e as a polynomial in the orbit
+    letter z, as coefficients by power of z, checked exactly.
+
+    ``group`` is the basis group, as for ``_weyl_quotient``.  With y the
+    pair's letter (s for the raw OO route, x otherwise), d(y) the
+    denominator's own-pair factor (y - 1/y for SP and raw OO, 1 otherwise)
+    and own(y) = y - 1/y for EO_DIFF (1 otherwise), the identity
+
+        d(y) * own(y) * p_e(z) = b_e(y)
+
+    is checked modulo y*yb = 1, with z = y for GL, z = s^2 + 1/s^2 for
+    raw OO and z = y + 1/y otherwise; a failure raises ArithmeticError.
+    p_e is z^e for GL, U_(e-1) for the odd basis, U_k + U_(k-1) for raw
+    OO's odd e = 2k + 1 in the s-letters (a sum of x^j, |j| <= k), V_e for
+    the even basis with b_0 = 1.  Cached once per (route, group, e).
     """
     sign = _basis_sign(group, route)
     in_s = group is Group.OO and route == "raw"
-    y, yb = (S, SB) if in_s else (X, XB)
+    if sign is None:
+        p = [0] * e + [1]
+    elif sign > 0:
+        p = _chebyshev(e, [2], [0, 1]) if e else [1]
+    elif in_s:
+        p = _chebyshev((e - 1) // 2, [1], [1, 1])
+    else:
+        p = _chebyshev(e - 1, [1], [0, 1])
+    y, yb = (ps(1), psb(1)) if in_s else (px(1), pxb(1))
+    z = y if sign is None else y * y + yb * yb if in_s else y + yb
+    lhs = poly_sum(c * z ** k for k, c in enumerate(p))
+    for f in _own_pair_factors(group, 1) + ([y - yb] if group is Group.EO_DIFF else []):
+        lhs = lhs * f
+    b = y ** e if sign is None or e == 0 else y ** e + sign * yb ** e
+    if poly_reduce_inverses(lhs) != b:
+        raise ArithmeticError(f"{route} basis b_{e} for {group.value} differs from its z-form")
+    return tuple(p)
 
-    def b(i: int, e: int) -> Poly:
-        if sign is None or e == 0:
-            return Poly({((y(i).code(), e),): 1})
-        return Poly({((y(i).code(), e),): 1, ((yb(i).code(), e),): sign})
 
-    rows = [[b(i, e) for e in cols_e] for i in range(1, n + 1)]
-    factors = _denominator_info(Group.EO if group is Group.EO_DIFF else group, n, route)[0]
-    codes: set = set()
-    chain = _Chain(factors, codes, _row_bound(rows, codes))
-    layout = chain.layout
-    alternant = _det_separable(rows, layout)
-    out = chain.divide(alternant, lambda: layout.to_poly(alternant))
-    return map_s_to_x(out) if in_s else out
+def _z_divisors(n: int) -> list:
+    """The cross factors z_i - z_j, i < j, with z_i written as x_i."""
+    return [px(i) - px(j) for i, j in combinations(range(1, n + 1), 2)]
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _weyl_quotient(route: str, group: Group, n: int, cols_e: tuple) -> Poly:
+    """chi_E = det[b_e(y_i)]_{i, e in E} / Delta, an a-free Weyl alternant
+    of the route's basis divided by its denominator, in the orbit
+    letters z_i = u_i + ub_i.
+
+    ``group`` is the basis group, whose Weyl basis and denominator the
+    quotient uses, and ``cols_e`` the ascending exponents E.  Each b_e is
+    d * own * p_e(z) (``_z_basis``, checked), and each cross factor
+    u_i + ub_i - u_j - ub_j of Delta (``_denominator_factors``) is
+    z_i - z_j.  So the own-pair factors d cancel, and
+
+        chi_E = prod_i own(y_i) * det[p_e(z_i)] / prod_{i<j} (z_i - z_j),
+
+    a bialternant in the free ring of the z_i, with no pairing.  Under one
+    paired layout, the alternant is emitted by Cauchy-Binet
+    (``_det_separable``) with z_i written as x_i, divided by the binomials
+    (``_divide_packed``: bar-free ints, as in the free ring), expanded once
+    by z_i -> x_i + xb_i (GL: no expansion) and multiplied by own.  Raw
+    OO's z = s^2 + sb^2 is x + xb, so its quotient comes out in the
+    x-letters.  An inexact quotient raises DivisionNotExact.  Cached on
+    (route, basis group, n, E): the route is in the key so that the raw
+    and alternant routes never read each other's quotients.
+    """
+    own = group is Group.EO_DIFF
+    basis = [_z_basis(route, group, e) for e in cols_e]
+    codes = [X(i).code() for i in range(1, n + 1)]
+    rows = [
+        [_poly({((z, k),) if k else (): c for k, c in enumerate(p) if c}) for p in basis]
+        for z in codes
+    ]
+    # The expansion keeps every net exponent and the net degree within the
+    # z-degree; own adds at most one per pair.
+    layout = _Layout(codes, _row_bound(rows, set()) + (n if own else 0), paired=True)
+    quot = _det_separable(rows, layout)
+    for z in _z_divisors(n):
+        quot = _divide_packed(quot, layout.pack_terms(z), layout)
+    units = [(layout.unit[code], sh) for code, sh in layout.shifts]
+    if group is not Group.GL:
+        bias, field, half = layout.bias, layout.field, layout.half
+        for u, sh in units:
+            out: dict = {}
+            get = out.get
+            for v, c in quot.items():
+                k = (((v + bias) >> sh) & field) - half
+                for j in range(k + 1):
+                    w = v - 2 * j * u
+                    out[w] = get(w, 0) + c * comb(k, j)
+            quot = out
+    if own:
+        quot = _Layout.product([quot, *({u: 1, -u: -1} for u, _ in units)])
+    return layout.to_poly(quot)
 
 
 def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
@@ -376,9 +429,10 @@ def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
     quotient ``_weyl_quotient``.  The x- and a-letters are disjoint, so each
     product monomial is the concatenation of the two.
 
-    chi_E divides by the denominator's binomials factor by factor, which
-    is only sound when the reduced denominator determinant equals the
-    reduced factor product, so that identity is checked, not assumed.
+    chi_E divides by the denominator's product form, which is only sound
+    when the reduced denominator determinant equals the reduced product
+    of its factors, so that identity is checked (``_denominator_info``),
+    not assumed.
     EO_DIFF divides by EO's denominator; EO alone carries the eta = 1/2 of
     lambda_n = 0, realised by halving the sum exactly.
     """
@@ -388,7 +442,7 @@ def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
     rows = _route_rows(group, n, route, [lam[j] + n - (j + 1) for j in range(n)])
     columns = _weyl_columns(_separable_table(rows)[0], _basis_sign(group, route))
     den_group = Group.EO if group is Group.EO_DIFF else group
-    if not _denominator_info(den_group, n, route)[1]:
+    if not _denominator_info(den_group, n, route):
         raise ArithmeticError(
             f"{route} denominator for {den_group.value}, n={n} differs from its product form"
         )

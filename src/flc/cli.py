@@ -317,12 +317,8 @@ def _check_symmetry(group: Group, max_rank: int, max_part: int) -> bool:
 
 
 def _check_denominator(group: Group, max_rank: int) -> bool:
-    for n in range(1, max_rank + 1):
-        for route in ("raw", "alternant"):
-            _, matches = _denominator_info(group, n, route)
-            if not matches:  # det failed to match the reduced factor product
-                return False
-    return True
+    routes = ("raw", "alternant")
+    return all(_denominator_info(group, n, r) for n in range(1, max_rank + 1) for r in routes)
 
 
 def _check_lgv(max_rank: int, max_part: int) -> bool:

@@ -27,7 +27,7 @@ import heapq
 from bisect import bisect
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Mapping, Sequence, Tuple
 
 __all__ = [
     "VarId",
@@ -474,7 +474,8 @@ class _Layout:
         ints is already reduced.  The Jacobi-Trudi determinant
         (``_det_cofactor(rows, paired=True)``), the ratio routes'
         determinants and minors (``_det_separable``, ``_maximal_minors``),
-        ``group_tableau_sum`` and the division chain (``_Chain``) use it.
+        their Weyl quotients (``characters._weyl_quotient``),
+        ``group_tableau_sum`` and ``poly_exact_div_inverses`` use it.
 
     Every field is ``degree.bit_length() + 1`` bits wide.  A monomial is
     the int sum of e_k * 2^(shift of field k), with a signed digit e_k in
@@ -493,8 +494,10 @@ class _Layout:
     For bar-free monomials (every digit >= 0) both modes give the same
     int as the graded packing of the plain letters, and its order is
     exactly the graded-lex order.  Division (``_divide_packed``) works
-    on such ints only.  Its guard test: every field's low bits hold any
-    value up to ``degree`` and its top bit is a guard bit; a difference
+    on such ints only: the free ring's, the cleared operands of
+    ``poly_exact_div_inverses``, and the Weyl quotients' alternants in
+    the orbit letters z_i.  Its guard test: every field's low bits hold
+    any value up to ``degree`` and its top bit is a guard bit; a difference
     m - t is a monomial exactly when it sets no bit of ``guard``: a field
     that goes below zero borrows into its own guard bit, and a total
     degree below zero makes the int negative, which sets the guard bit
@@ -619,10 +622,6 @@ class _Layout:
             out[mh + ml] = c
         return _poly(out)
 
-    def halve(self, terms: dict) -> dict:
-        """``poly_halve`` on packed terms."""
-        return _halve_terms(terms, lambda v: str(self.to_poly({v: 1})))
-
 
 def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
     """Packed quotient of rem by divisor, both under ``layout``.
@@ -631,9 +630,9 @@ def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
     divisor's term count:
 
     two terms (``_divide_binomial``)
-        A linear sweep with no heap.  Every route denominator is a list of
-        binomials (``characters._denominator_info``), and so are the
-        x_i - xb_i and s_i - sb_i of ``hfuncs.h_closed_one_pair``.
+        A linear sweep with no heap.  The ratio routes divide each Weyl
+        quotient by the binomials z_i - z_j (``characters._weyl_quotient``),
+        and ``hfuncs.h_closed_one_pair`` by x_i - xb_i or s_i - sb_i.
     one term, or three or more (``_divide_heap``)
         Leading-term elimination driven by a max-heap of the remainder's
         terms (Johnson, "Sparse polynomial arithmetic", 1974), for the
@@ -646,7 +645,7 @@ def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
     every quotient term the same way (the layout's guard test and
     divisibility of the coefficient), and raise DivisionNotExact naming
     the same term and the divisor's lead term, each unpacked by
-    ``layout.to_poly``.  Under the division chain (``_Chain``) both are
+    ``layout.to_poly``.  Under ``poly_exact_div_inverses`` both are
     cleared monomials.
     """
     if len(divisor) == 2:
@@ -813,124 +812,49 @@ def poly_exact_div_inverses(p: Poly, q: Poly) -> Poly:
     compensating power is folded back in.  The quotient is returned in
     reduced form.  Raises DivisionNotExact when no quotient exists even
     granting the inverse relation.
+
+    One paired ``_Layout`` serves the step: packing reduces, clearing is
+    one add per int, and the compensation is folded into the unpack.
+    With D the larger total degree of p and q, s the degree of q and
+    ``plain`` the product of one plain letter per inverse pair, p is
+    cleared by plain^(D + 2s) and q by plain^s.  Net exponents lie in
+    [-D, D] for p and [-s, s] for q, and the lowest net exponent of a
+    product is the sum of its factors' lowest, so the quotient's are
+    >= -D - s: every cleared operand and the cleared quotient
+    Q * plain^(D + s) are bar-free, and the bar-free division is exact
+    whenever Q exists.  With P inverse pairs, no monomial of the step
+    has total degree above D + P(D + 2s), the layout's bound.
     """
-    return poly_exact_div_inverses_many(p, (q,))
-
-
-class _Chain:
-    """The division chain behind ``poly_exact_div_inverses_many``: exact
-    division by every divisor in turn, modulo the reciprocal pairing.
-
-    Construction sizes the chain (the sizing): ``codes`` must already hold
-    the dividend's codes and ``degree`` must bound its total degree; the
-    divisors' codes and degrees are added here.  ``divide`` is the packed
-    core: it takes the dividend packed under ``layout`` and returns the
-    quotient unpacked.  ``poly_exact_div_inverses_many`` packs a Poly
-    dividend; the ratio routes' Weyl quotients
-    (``characters._weyl_quotient``) emit their a-free alternant under
-    ``layout`` directly (``_det_separable``), so it is packed once,
-    cleared, divided and unpacked once.
-
-    The whole chain runs under one paired ``_Layout``: packing reduces
-    the operands, clearing is one add of a packed plain-letter power per
-    int, and the compensation is one more, folded into the final unpack.
-    The cleared ints are bar-free with every field >= 0, so they equal
-    the graded packing and ``_divide_packed`` runs on them unchanged.
-
-    Clearing is by a degree bound.  Let D be any bound on the total
-    degrees of the dividend p and of the divisors (the largest of them
-    for ``poly_exact_div_inverses_many``, a larger row-sum bound for the
-    Weyl quotients), s_k the degree of divisor b_k, S the sum of the s_k,
-    and ``plain`` the product of one plain letter per inverse pair; p is
-    cleared by plain^(D + 2S) and b_k by plain^(s_k).  Each net exponent
-    of p lies in [-D, D] and each of b_k's in [-s_k, s_k], so the cleared
-    operands are bar-free.  So is every cleared quotient: the lowest net
-    exponent of a product is the sum of its factors' lowest, so
-    Q_k = p / (b_1...b_k) has net exponents >= -D - (s_1 + ... + s_k),
-    and step k leaves Q_k * plain^(D + 2S - s_1 - ... - s_k), whose net
-    exponents are >= 2S - 2(s_1 + ... + s_k) >= 0.  The stepwise bar-free
-    divisions are therefore exact whenever the full quotient exists.
-
-    The degree bound covers every int of the chain.  With P the number of
-    inverse-pair fields, a cleared p has total degree at most
-    D + P(D + 2S); within a step every remainder and quotient monomial is
-    at most the lead of that step's dividend in the graded order, and each
-    step's dividend is the quotient of the step before, so no monomial of
-    the chain exceeds that.  The final quotient's net exponents lie in
-    [-D - S, D + S], so its total degree is at most D + P(D + S).  The
-    argument holds for any divisors; for the ratio routes' binomials a
-    split cross factor (x_i - x_j)(1 - xb_i*xb_j) adds 1 + 2 = 3 to S,
-    where the four-term factor it replaces added 1.
-
-    On failure the DivisionNotExact message is the stepwise fold's.  The
-    chain fails at step k exactly when the fold does, so with more than
-    one divisor the fold is replayed from p to raise its own message; the
-    chain's own error is re-raised should the fold succeed.  A single
-    divisor's chain is the fold, and its error is raised as it is; its
-    cleared monomials depend on D.
-    """
-
-    __slots__ = ("divisors", "degrees", "deg", "span", "layout", "plain")
-
-    def __init__(self, divisors: Iterable[Poly], codes: set, degree: int):
-        self.divisors = list(divisors)
-        self.degrees = [_codes_and_degree(q, codes) for q in self.divisors]
-        self.deg = max([degree, *self.degrees])
-        self.span = sum(self.degrees)
-        pairs = len({code - code % 2 for code in codes if code < _A_NEG_LOW})
-        self.layout = _Layout(codes, self.deg + pairs * (self.deg + 2 * self.span), paired=True)
-        self.plain = sum(self.layout.unit[code] for code, _ in self.layout.shifts if code < _A_NEG_LOW)
-
-    def divide(self, a: dict, dividend: Callable[[], Poly]) -> Poly:
-        """The quotient of the packed dividend ``a`` (not consumed) by the
-        divisors; ``dividend()`` gives it as a Poly, for replaying the
-        fold on failure."""
-        layout, plain = self.layout, self.plain
-        divs = [layout.pack_terms(q) for q in self.divisors]
-        if not all(divs):
-            raise DivisionByZero("division by the zero polynomial")
-        if not a:
-            return ZERO
-        clear = (self.deg + 2 * self.span) * plain
-        quot = {v + clear: c for v, c in a.items()}
-        try:
-            for b, s_k in zip(divs, self.degrees):
-                quot = _divide_packed(quot, {v + s_k * plain: c for v, c in b.items()}, layout)
-        except DivisionNotExact:
-            if len(divs) > 1:
-                reduce(poly_exact_div_inverses, self.divisors, dividend())
-            raise
-        return layout.to_poly(quot, -(self.deg + self.span) * plain)
+    codes: set = set()
+    s = _codes_and_degree(q, codes)
+    deg = max(_codes_and_degree(p, codes), s)
+    pairs = len({code - code % 2 for code in codes if code < _A_NEG_LOW})
+    layout = _Layout(codes, deg + pairs * (deg + 2 * s), paired=True)
+    plain = sum(layout.unit[code] for code, _ in layout.shifts if code < _A_NEG_LOW)
+    divisor = {v + s * plain: c for v, c in layout.pack_terms(q).items()}
+    if not divisor:
+        raise DivisionByZero("division by the zero polynomial")
+    clear = (deg + 2 * s) * plain
+    quot = _divide_packed({v + clear: c for v, c in layout.pack_terms(p).items()}, divisor, layout)
+    return layout.to_poly(quot, -(deg + s) * plain)
 
 
 def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
-    """Divide p by every divisor in turn, modulo the reciprocal pairing.
-
-    Same result as chaining poly_exact_div_inverses, but the barred
-    letters are cleared once up front and the compensating power folded
-    back once at the end, which matters when a large polynomial is divided
-    by many small factors.  The chain and its clearing are ``_Chain``'s,
-    sized with D the largest total degree among p and the divisors.
-    """
-    codes: set = set()
-    chain = _Chain(divisors, codes, _codes_and_degree(p, codes))
-    return chain.divide(chain.layout.pack_terms(p), lambda: p)
-
-
-def _halve_terms(terms: dict, name: Callable[[object], str]) -> dict:
-    """Every coefficient halved exactly; an odd one raises OddCoefficient,
-    its monomial rendered by ``name``."""
-    out = {}
-    for m, c in terms.items():
-        if c % 2:
-            raise OddCoefficient(f"coefficient {c} of {name(m)} is odd")
-        out[m] = c // 2
-    return out
+    """Divide p by every divisor in turn, modulo the reciprocal pairing:
+    the fold of ``poly_exact_div_inverses`` over the divisors, from p
+    (which is returned as it is when there are none)."""
+    return reduce(poly_exact_div_inverses, divisors, p)
 
 
 def poly_halve(p: Poly) -> Poly:
-    """Divide every coefficient by 2 exactly."""
-    return _poly(_halve_terms(p.terms, lambda m: _mono_str(m) or "1"))
+    """Divide every coefficient by 2 exactly; an odd one raises
+    OddCoefficient."""
+    out = {}
+    for m, c in p.terms.items():
+        if c % 2:
+            raise OddCoefficient(f"coefficient {c} of {_mono_str(m) or '1'} is odd")
+        out[m] = c // 2
+    return _poly(out)
 
 
 def _separable_table(rows: Sequence[Sequence[Poly]]) -> Tuple[list, list]:
@@ -1035,9 +959,9 @@ def _det_separable(rows: Sequence[Sequence[Poly]], layout: _Layout) -> dict:
     ``layout`` must hold the entries' codes and have a degree bound of at
     least the row-sum bound (``_row_bound``).  Every term formed is a
     sub-product of one entry term per row and per column, so within it.
-    The ratio routes' Weyl quotients pass the division chain's layout
-    (``_Chain``), so their alternants are never unpacked before the
-    division.
+    The ratio routes' Weyl quotients (``characters._weyl_quotient``) pass
+    the layout that they divide and expand under, so their alternants
+    are never unpacked before the division.
     """
     n = len(rows)
     unit = layout.unit

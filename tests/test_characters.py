@@ -2,6 +2,8 @@
 agreement, denominator identities, the so(2n) family, and dimensions."""
 
 import hashlib
+from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 
@@ -9,8 +11,11 @@ import flc.characters
 from flc.characters import (
     CharSpec,
     Group,
+    _denominator_factors,
     _denominator_info,
     _weyl_quotient,
+    _z_basis,
+    _z_divisors,
     char_alternant,
     char_jacobi_trudi,
     char_raw,
@@ -248,16 +253,20 @@ def test_denominator_independent_of_a(group, n):
 
 
 # ---------------------------------------------------------------------------
-# the denominator as the ratio routes divide by it: binomial factors
+# the denominator as the ratio routes divide by it: the z-binomials
 
 
 @pytest.mark.parametrize("route", ("raw", "alternant"))
 @pytest.mark.parametrize("group", BASE_GROUPS)
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_denominator_info_lists_matching_binomials(group, n, route):
-    factors, matches = _denominator_info(group, n, route)
-    assert matches
-    assert all(len(f.terms) == 2 for f in factors)
+    """The route's denominator determinant equals its product form, whose
+    cross factors the Weyl quotients divide by as n(n-1)/2 binomials
+    z_i - z_j."""
+    assert _denominator_info(group, n, route) is True
+    divisors = _z_divisors(n)
+    assert len(divisors) == n * (n - 1) // 2
+    assert all(len(f.terms) == 2 for f in divisors)
 
 
 @pytest.mark.parametrize(
@@ -295,7 +304,7 @@ def test_weyl_denominator_product_text(group, n, text):
 
 @pytest.mark.usefixtures("flipped_own_pair_factor")
 def test_denominator_with_a_flipped_binomial_is_refused():
-    assert _denominator_info(Group.SP, 2, "raw")[1] is False
+    assert _denominator_info(Group.SP, 2, "raw") is False
     with pytest.raises(ArithmeticError, match="differs from its product form"):
         char_raw(char_spec(Group.SP, 2, (1,)))
 
@@ -303,13 +312,15 @@ def test_denominator_with_a_flipped_binomial_is_refused():
 @pytest.mark.parametrize("route", ("raw", "alternant"))
 @pytest.mark.parametrize("group", (Group.SP, Group.OO))
 def test_inexact_numerator_is_refused(group, route):
-    """One extra term, x1*a1, in a real numerator: the division by the
-    route's binomials must raise, never return a quotient."""
+    """The public fold ``poly_exact_div_inverses_many`` on a real route
+    numerator, not the route itself (which divides only Weyl quotients,
+    see test_inexact_weyl_quotient_is_refused): divided by the
+    denominator's product-form factors it gives the character, and with
+    one extra term, x1*a1, it must raise, never return a quotient."""
     n, lam = 3, (2, 1, 0)
     exps = [lam[j] + n - (j + 1) for j in range(n)]
     numer = _det_cofactor(flc.characters._route_rows(group, n, route, exps), paired=True)
-    factors, matches = _denominator_info(group, n, route)
-    assert matches
+    factors = _denominator_factors(_factor_group(group, route), n)
     in_s = group is Group.OO and route == "raw"
     quot = poly_exact_div_inverses_many(numer, factors)
     assert (map_s_to_x(quot) if in_s else quot) == char_jacobi_trudi(char_spec(group, n, lam))
@@ -338,6 +349,7 @@ def test_route_determinants_by_cauchy_binet_equal_the_cofactor_expansion(group, 
 def _clear_ratio_caches():
     _denominator_info.cache_clear()
     _weyl_quotient.cache_clear()
+    _z_basis.cache_clear()
 
 
 @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm-denominator"))
@@ -396,18 +408,17 @@ def test_route_refuses_a_column_that_breaks_the_weyl_symmetry(monkeypatch, group
 
 
 def test_inexact_weyl_quotient_is_refused(monkeypatch):
-    """A denominator list with one binomial too many, x1 + 1, that still
-    claims to match: the quotients chi_E are then inexact, and the route
-    must raise DivisionNotExact, never return a polynomial."""
-    true_info = flc.characters._denominator_info
+    """One z-divisor too many, z_1 + 1, while the denominator still
+    matches its product form: the quotients chi_E are then inexact, and
+    the route must raise DivisionNotExact, never return a polynomial."""
+    true_divisors = flc.characters._z_divisors
 
-    def one_too_many(group, n, route):
-        factors, matches = true_info(group, n, route)
-        return factors + (px(1) + ONE,), matches
+    def one_too_many(n):
+        return true_divisors(n) + [px(1) + ONE]
 
     _clear_ratio_caches()
     try:
-        monkeypatch.setattr(flc.characters, "_denominator_info", one_too_many)
+        monkeypatch.setattr(flc.characters, "_z_divisors", one_too_many)
         with pytest.raises(DivisionNotExact):
             char_raw(char_spec(Group.SP, 2, (1, 1)))
     finally:
@@ -420,14 +431,21 @@ def _route_character(group, route, n, lam):
     return (char_raw if route == "raw" else char_alternant)(char_spec(group, n, lam))
 
 
+def _factor_group(group, route):
+    """The group of the route's denominator factors: EO for EO_DIFF and
+    for every alternant route outside GL."""
+    if group is Group.EO_DIFF or (route == "alternant" and group is not Group.GL):
+        return Group.EO
+    return group
+
+
 def _ratio_by_whole_division(group, route, n, lam):
-    """The ratio routes' earlier arithmetic: the whole numerator
-    determinant by cofactor expansion, divided by the binomials."""
+    """The whole-numerator oracle: the numerator determinant by cofactor
+    expansion, divided modulo the pairing by the denominator's
+    product-form factors."""
     exps = [lam[j] + n - (j + 1) for j in range(n)]
     numer = _det_cofactor(flc.characters._route_rows(group, n, route, exps), paired=True)
-    factors, matches = _denominator_info(Group.EO if group is Group.EO_DIFF else group, n, route)
-    assert matches
-    out = poly_exact_div_inverses_many(numer, factors)
+    out = poly_exact_div_inverses_many(numer, _denominator_factors(_factor_group(group, route), n))
     if group is Group.EO and lam[-1] == 0:
         out = poly_halve(out)
     return map_s_to_x(out) if group is Group.OO and route == "raw" else out
@@ -435,16 +453,65 @@ def _ratio_by_whole_division(group, route, n, lam):
 
 @pytest.mark.parametrize("group, route", _SEPARABLE_ROUTES)
 def test_ratio_by_linearity_equals_the_whole_division(group, route):
-    """Sum c_E * chi_E equals dividing the whole numerator, on every
-    shape with n <= 3 and parts <= 3, and for SP, OO and EO on
-    lambda = (1,1,1,1); the quotient cache stays bounded."""
+    """Sum c_E * chi_E, each chi_E divided in the free z-ring, equals the
+    whole-numerator oracle on every shape with n <= 3 and parts <= 3, and
+    on lambda = (1,1,1,1) and (2,1,1,1); the quotient cache stays bounded."""
     cases = [(n, lam) for n in (1, 2, 3) for lam in shapes(n, 3)]
-    if group in (Group.SP, Group.OO, Group.EO):
-        cases.append((4, (1, 1, 1, 1)))
+    cases += [(4, (1, 1, 1, 1)), (4, (2, 1, 1, 1))]
     for n, lam in cases:
         want = _ratio_by_whole_division(group, route, n, lam)
         assert _route_character(group, route, n, lam) == want, (n, lam)
     assert _weyl_quotient.cache_info().maxsize == _CACHE_SIZE
+
+
+# Every (route, basis group) whose Weyl quotients _weyl_quotient divides.
+_Z_BASES = [("raw", g) for g in (*BASE_GROUPS, Group.EO_DIFF)] + [
+    ("alternant", Group.GL),
+    ("alternant", Group.EO),
+]
+
+
+@pytest.mark.parametrize("route, group", _Z_BASES)
+def test_z_basis_satisfies_its_identity(route, group):
+    """own(y) * p_e(z) = b_e(y) for each e <= 12 the basis takes, with
+    own(y) = y - 1/y for the odd bases (1 otherwise), z = y for GL,
+    z = y^2 + 1/y^2 for raw OO in the s-letters and z = y + 1/y
+    otherwise.  Checked in exact rationals at 28 points: times y^13 each
+    side is a polynomial of degree at most 26, so they are equal."""
+    in_s = group is Group.OO and route == "raw"
+    sign = flc.characters._basis_sign(group, route)
+    for e in range(13):
+        if (sign == -1 and e == 0) or (in_s and e % 2 == 0):
+            continue
+        p = _z_basis(route, group, e)
+        for y in map(Fraction, range(2, 30)):
+            z = y if sign is None else y * y + 1 / (y * y) if in_s else y + 1 / y
+            own = y - 1 / y if sign == -1 else 1
+            b = y ** e if sign is None or e == 0 else y ** e + sign * y ** -e
+            assert own * sum(c * z ** k for k, c in enumerate(p)) == b, (e, y)
+    assert _z_basis.cache_info().maxsize == _CACHE_SIZE
+
+
+@pytest.mark.parametrize("route, group", [("raw", Group.SP), ("raw", Group.OO), ("alternant", Group.EO)])
+def test_a_broken_z_basis_is_refused(monkeypatch, route, group):
+    """U and V by a broken recurrence, w_(k+1) = z*w_k + w_(k-1): the
+    bialternant det[p_e(z_i)] stays alternating, so it still divides
+    exactly, and only the identity check stands between it and a wrong
+    character.  The route must raise ArithmeticError."""
+
+    def broken(k, w0, w1):
+        for _ in range(k):
+            w0, w1 = w1, [a + b for a, b in zip_longest([0] + w1, w0, fillvalue=0)]
+        return w0
+
+    char = char_raw if route == "raw" else char_alternant
+    _clear_ratio_caches()
+    try:
+        monkeypatch.setattr(flc.characters, "_chebyshev", broken)
+        with pytest.raises(ArithmeticError, match="differs from its z-form"):
+            char(char_spec(group, 2, (2, 1)))
+    finally:
+        _clear_ratio_caches()
 
 
 # ---------------------------------------------------------------------------

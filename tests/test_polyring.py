@@ -336,6 +336,16 @@ def test_exact_div_inverses_many_is_the_fold(f, qs):
 
 @settings(max_examples=100)
 @given(polys(), nonzero_polys(), polys(), nonzero_polys(), nonzero_polys())
+# A divisor of degree 69 before an inexact four-term step, then a
+# binomial: 0.4 s when the whole list was cleared by one degree bound,
+# well past the 200 ms deadline; the fold stops at the inexact step.
+@example(
+    px(2),
+    px(2) ** 69 - xb1 ** 34,
+    ONE,
+    x1 ** 2 * x2 + 2 * x1 ** 2 * xb2 + 3 * a1 - 2 * x2 * xb2 * a1 ** 2,
+    -3 * xb2 * a1 * a2 ** 58 - 2 * a1 ** 29,
+)
 def test_exact_div_inverses_many_fails_like_the_fold(f, q1, g, q2, q3):
     # The first step is exact; a later one fails for most draws.
     red = poly_reduce_inverses
@@ -361,14 +371,14 @@ def test_exact_div_inverses_many_fails_like_the_fold(f, q1, g, q2, q3):
     st.lists(st.tuples(st.integers(1, 3), st.booleans(), st.integers(1, 40)), min_size=1, max_size=3),
     st.data(),
 )
-# xb1 / x1^2 = xb1^3: net exponent -3 = -D - S with D = S = 2
+# xb1 / x1^2 = xb1^3: net exponent -3 = -D - s with D = s = 2
 @example(xb1, [], [(1, False, 2)], None)
 def test_exact_div_inverses_by_letter_powers(f, qs, powers, data):
     """Divisors x_i^k or xb_i^k, which may carry letters the dividend
     lacks (x3 never occurs in it).  Each is a unit modulo the pairing, so
-    the quotient is f times the inverse powers, and its net exponents
-    reach -D - S, below anything a product f*q reaches.  A chain that
-    clears the dividend by less than plain^(D + 2S) cannot hold it."""
+    the quotient is f times the inverse powers, and each step's net
+    exponents reach -D - s, below anything a product f*q reaches.  A step
+    that clears its dividend by less than plain^(D + 2s) cannot hold it."""
     red = poly_reduce_inverses
     assume(all(red(q) for q in qs))
     p = f
@@ -388,8 +398,9 @@ def test_exact_div_inverses_by_letter_powers(f, qs, powers, data):
 
 
 def test_exact_div_inverses_many_names_the_folds_term():
-    # The chain clears barred letters once for all divisors, so its own
-    # leading term here would be x1^3, which is in no operand of the fold.
+    # The fold stops at its first inexact step, 1 / 2, and names that
+    # step's own term; clearing by all three divisors' degrees at once
+    # would have named x1^3, which is in no operand of the fold.
     with pytest.raises(DivisionNotExact) as err:
         poly_exact_div_inverses_many(ONE, [ONE, poly_const(2), x1])
     assert str(err.value) == "remainder nonzero: leading term 1 is not divisible by 2"
@@ -400,8 +411,8 @@ def test_exact_div_inverses_many_names_the_folds_term():
 
 # Binomial divisors: a lead coefficient that is not a unit, a negative
 # second coefficient, a lead spanning several fields, a negative lead,
-# x_i*x_j - 1 (1 - xb_i*xb_j times x_i*x_j; the chain clears by a higher
-# power), and a formal x1 - xb1.
+# x_i*x_j - 1 (1 - xb_i*xb_j times x_i*x_j, as poly_exact_div_inverses
+# clears it, by a higher power), and a formal x1 - xb1.
 _BINOMIALS = [
     2 * x1 - 3 * ONE,
     x2 - 2 * a1,
