@@ -433,8 +433,12 @@ def test_diff_sum_matches_alternant_ratio(n):
 
 
 # ---------------------------------------------------------------------------
-# the transfer sum against the per-tableau oracle
+# the packed engine against the Poly oracle
 
+# A column taller than any row is wide raises one letter's exponent above
+# the longest row; (1, 1, 1, 1) at n = 4 does so for every group but
+# EO_DIFF, whose first column holds n distinct letters.
+_ENGINE_CASES = [(n, lam) for n in (1, 2, 3) for lam in shapes(n, 2)] + [(4, (1, 1, 1, 1))]
 _SO_EVEN = (Group.SO_EVEN_PLUS, Group.SO_EVEN_MINUS)
 
 
@@ -444,6 +448,30 @@ def _library_sum(group, n, lam):
     if group in _SO_EVEN:
         return so_even_tableau_sum(n, lam, group is Group.SO_EVEN_PLUS)
     return tableau_sum(group, n, lam)
+
+
+@pytest.mark.parametrize("group", list(Group))
+def test_packed_engine_matches_the_poly_oracle(group):
+    """Each listed weight, and each library sum, against weight(), the
+    literal product of the cell factors as Poly values."""
+    for n, lam in _ENGINE_CASES:
+        full = len([p for p in lam if p]) == n
+        if group is Group.EO_DIFF and not full:
+            with pytest.raises(InvalidShape):
+                next(weighted_tableaux(group, n, lam))
+            with pytest.raises(InvalidShape):
+                group_tableau_sum(group, n, lam)
+            with pytest.raises(InvalidShape):
+                _library_sum(group, n, lam)
+            continue
+        triples = list(weighted_tableaux(group, n, lam))
+        for t, _, w in triples:
+            assert w == weight(t, group, n), (lam, tableau_to_text(t))
+        expected = poly_reduce_inverses(poly_sum(c * weight(t, group, n) for t, c, _ in triples))
+        assert group_tableau_sum(group, n, lam) == expected, lam
+        if group in _SO_EVEN and not full:
+            continue  # no plus/minus split: only the plain 2^zeta sum above
+        assert _library_sum(group, n, lam) == expected, lam
 
 
 def test_injected_weight_fault_reaches_sp_and_so_even_sums(monkeypatch):
@@ -493,15 +521,9 @@ def _oracle_coefficient(t, group, n):
     return 1 << tab_stats(t, group).zeta
 
 
-# A column taller than any row is wide raises one letter's exponent above
-# the longest row; (1, 1, 1, 1) at n = 4 does so for every group but
-# EO_DIFF, whose first column holds n distinct letters.  n = 4 with
-# (1, 1, 1, 1) and (2, 1, 1, 1) are the first shapes with zeta = 2 (2, 2~,
-# 4, 4~ down column 1), where the so(2n) coefficient is 2.
-_TRANSFER_CASES = [(n, lam) for n in (1, 2, 3) for lam in shapes(n, 2)] + [
-    (4, (1, 1, 1, 1)),
-    (4, (2, 1, 1, 1)),
-]
+# n = 4 with (1, 1, 1, 1) and (2, 1, 1, 1) are the first shapes with
+# zeta = 2 (2, 2~, 4, 4~ down column 1), where the so(2n) coefficient is 2.
+_TRANSFER_CASES = _ENGINE_CASES + [(4, (2, 1, 1, 1))]
 
 
 @pytest.mark.parametrize("group", list(Group))
@@ -509,21 +531,12 @@ def test_transfer_sum_matches_the_per_tableau_oracle(group):
     """group_tableau_sum, the row-by-row transfer sum, against the sum of
     coefficient * weight(t) over enumerate_tableaux, with the coefficient
     from tab_stats, is_diff_tableau or so_even_coefficient; the listing's
-    coefficients against the same oracle, the sum of its triples against
-    group_tableau_sum, which flc tableaux prints as their sum, and the
-    library's wrapper sum against the oracle.  EO_DIFF refuses a shape
-    with fewer than n parts everywhere."""
+    coefficients against the same oracle, and the sum of its triples
+    against group_tableau_sum, which flc tableaux prints as their sum."""
     coefficients = set()
     for n, lam in _TRANSFER_CASES:
-        full = len([p for p in lam if p]) == n
-        if group is Group.EO_DIFF and not full:
-            with pytest.raises(InvalidShape):
-                next(weighted_tableaux(group, n, lam))
-            with pytest.raises(InvalidShape):
-                group_tableau_sum(group, n, lam)
-            with pytest.raises(InvalidShape):
-                _library_sum(group, n, lam)
-            continue
+        if group is Group.EO_DIFF and len([p for p in lam if p]) < n:
+            continue  # InvalidShape: test_packed_engine_matches_the_poly_oracle
         listed = [
             (t, c)
             for t in enumerate_tableaux(group, n, lam)
@@ -535,8 +548,6 @@ def test_transfer_sum_matches_the_per_tableau_oracle(group):
         triples = list(weighted_tableaux(group, n, lam))
         assert [(t, c) for t, c, _ in triples] == listed, (n, lam)
         assert poly_reduce_inverses(poly_sum(c * w for _, c, w in triples)) == total, (n, lam)
-        if group not in _SO_EVEN or full:  # else no plus/minus split
-            assert _library_sum(group, n, lam) == expected, (n, lam)
         coefficients.update(c for _, c in listed)
     if group in _SO_EVEN:
         assert coefficients == {1, 2}
