@@ -258,11 +258,12 @@ def _denominator_info(group: Group, n: int, route: str) -> bool:
     factor_group = Group.EO if route == "alternant" and group is not Group.GL else group
     factors = _denominator_factors(factor_group, n)
     # One group per row and per factor: the bound covers both sides.
-    layout, packed = _Layout.for_products([*rows, *([f] for f in factors)], paired=True)
-    prod = layout.product(g[0] for g in packed[n:])
+    codes: set = set()
+    layout = _Layout(codes, _row_bound([*rows, *([f] for f in factors)], codes), paired=True)
+    prod = layout.product(layout.pack_terms(f) for f in factors)
     if group is Group.EO:
         prod = {v: 2 * c for v, c in prod.items()}
-    return _det_separable(rows, layout) == prod
+    return _det_separable(*_separable_table(rows, layout), layout) == prod
 
 
 def _basis_sign(group: Group, route: str) -> Optional[int]:
@@ -280,7 +281,8 @@ def _basis_sign(group: Group, route: str) -> Optional[int]:
 def _weyl_columns(table: list, sign: Optional[int]) -> list:
     """Fold each column's table C[j][e] onto the Weyl basis of ``sign``
     (``_basis_sign``): the coefficients C'[j][e] at e >= 0 such that
-    F[i][j] = sum_e C'[j][e] * b_e(y_i) holds identically.
+    F[i][j] = sum_e C'[j][e] * b_e(y_i) holds identically, each still
+    packed as ``polyring._separable_table`` packed it.
 
     That needs e >= 0 everywhere for GL; C[j][-e] = -C[j][e] and no e = 0
     term for the odd basis; C[j][-e] = C[j][e] for the even one.  A column
@@ -302,7 +304,7 @@ def _weyl_columns(table: list, sign: Optional[int]) -> list:
                     f"at net exponent {e}"
                 )
             if e >= 0:
-                folded[e] = _poly(by_a)
+                folded[e] = by_a
         out.append(folded)
     return out
 
@@ -376,7 +378,8 @@ def _weyl_quotient(route: str, group: Group, n: int, cols_e: tuple) -> Poly:
 
     a bialternant in the free ring of the z_i, with no pairing.  Under one
     paired layout, the alternant is emitted by Cauchy-Binet
-    (``_det_separable``) with z_i written as x_i, divided by the binomials
+    (``_det_separable``) from the integer table {k: {0: c}} of the p_e,
+    with z_i written as x_i, divided by the binomials
     (``_divide_packed``: bar-free ints, as in the free ring), expanded once
     by z_i -> x_i + xb_i (GL: no expansion) and multiplied by own.  Raw
     OO's z = s^2 + sb^2 is x + xb, so its quotient comes out in the
@@ -387,14 +390,12 @@ def _weyl_quotient(route: str, group: Group, n: int, cols_e: tuple) -> Poly:
     own = group is Group.EO_DIFF
     basis = [_z_basis(route, group, e) for e in cols_e]
     codes = [X(i).code() for i in range(1, n + 1)]
-    rows = [
-        [_poly({((z, k),) if k else (): c for k, c in enumerate(p) if c}) for p in basis]
-        for z in codes
-    ]
+    # The row bound is n times the largest degree, as every p_e is monic.
     # The expansion keeps every net exponent and the net degree within the
     # z-degree; own adds at most one per pair.
-    layout = _Layout(codes, _row_bound(rows, set()) + (n if own else 0), paired=True)
-    quot = _det_separable(rows, layout)
+    layout = _Layout(codes, n * (max(map(len, basis)) - 1 + (1 if own else 0)), paired=True)
+    table = [{k: {0: c} for k, c in enumerate(p) if c} for p in basis]
+    quot = _det_separable(table, [layout.unit[code] for code in codes], layout)
     for z in _z_divisors(n):
         quot = _divide_packed(quot, layout.pack_terms(z), layout)
     units = [(layout.unit[code], sh) for code, sh in layout.shifts]
@@ -420,9 +421,10 @@ def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
     the numerator determinant N to the denominator, by linearity.
 
     The a-letters are inert in the ratio.  The numerator matrix is split
-    as F[i][j] = sum_e C[j][e](a) * y_i^e (``polyring._separable_table``,
-    which checks row-separability) and folded onto the route's Weyl basis
-    (``_weyl_columns``, which checks the symmetry), so F = B * C'^T with
+    as F[i][j] = sum_e C[j][e](a) * y_i^e, with C packed under one paired
+    layout (``polyring._separable_table``, which checks row-separability),
+    and folded onto the route's Weyl basis (``_weyl_columns``, which checks
+    the symmetry), so F = B * C'^T with
     B[i][e] = b_e(y_i).  By Cauchy-Binet N = sum_E det C'[:, E] * det B[:, E]
     exactly, and the character is sum_E c_E(a) * chi_E(x) with
     c_E = det C'[:, E] (``polyring._maximal_minors``) and chi_E the cached
@@ -440,14 +442,15 @@ def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
     if group not in groups:
         raise ValueError(f"no alternant-ratio route for group {group}")
     rows = _route_rows(group, n, route, [lam[j] + n - (j + 1) for j in range(n)])
-    columns = _weyl_columns(_separable_table(rows)[0], _basis_sign(group, route))
+    codes: set = set()
+    layout = _Layout(codes, _row_bound(rows, codes), paired=True)
+    columns = _weyl_columns(_separable_table(rows, layout)[0], _basis_sign(group, route))
     den_group = Group.EO if group is Group.EO_DIFF else group
     if not _denominator_info(den_group, n, route):
         raise ArithmeticError(
             f"{route} denominator for {den_group.value}, n={n} differs from its product form"
         )
-    layout, packed = _Layout.for_products((col.values() for col in columns), paired=True)
-    minors = _maximal_minors([dict(zip(col, p)) for col, p in zip(columns, packed)], layout)
+    minors = _maximal_minors(columns, layout)
     # Outside GL every alternant route has the even basis over EO's cross
     # factors, so SP, OO and EO share their quotients there.
     basis_group = Group.EO if route == "alternant" and group is not Group.GL else group

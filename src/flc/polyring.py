@@ -472,9 +472,9 @@ class _Layout:
         Packing adds colliding terms, so packing is the reduction of
         ``poly_reduce_inverses``, and every product and sum formed on the
         ints is already reduced.  The Jacobi-Trudi determinant
-        (``_det_cofactor(rows, paired=True)``), the ratio routes'
-        determinants and minors (``_det_separable``, ``_maximal_minors``),
-        their Weyl quotients (``characters._weyl_quotient``),
+        (``_det_cofactor(rows, paired=True)``), the ratio routes' tables,
+        minors and determinants (``_separable_table``, ``_maximal_minors``,
+        ``_det_separable``), their Weyl quotients (``_weyl_quotient``),
         ``group_tableau_sum`` and ``poly_exact_div_inverses`` use it.
 
     Every field is ``degree.bit_length() + 1`` bits wide.  A monomial is
@@ -586,13 +586,14 @@ class _Layout:
 
     @classmethod
     def product(cls, factors: Iterable[dict]) -> dict:
-        """The product of packed factors (the constant 1 for none)."""
+        """The product of packed factors (the constant 1 for none), with
+        the cancelled zeros dropped after every factor."""
         acc = {0: 1}
         for f in factors:
             out: dict = {}
             cls.mul_add(out, f, acc)
-            acc = out
-        return {m: c for m, c in acc.items() if c}
+            acc = {m: c for m, c in out.items() if c}
+        return acc
 
     def to_poly(self, terms: dict, offset: int = 0) -> Poly:
         """Unpack every term with a nonzero coefficient, each monomial
@@ -857,9 +858,9 @@ def poly_halve(p: Poly) -> Poly:
     return _poly(out)
 
 
-def _separable_table(rows: Sequence[Sequence[Poly]]) -> Tuple[list, list]:
+def _separable_table(rows: Sequence[Sequence[Poly]], layout: _Layout) -> Tuple[list, list]:
     """Split each entry of a row-separable matrix F as
-    F[i][j] = sum_e C[j][e] * y_i^e.
+    F[i][j] = sum_e C[j][e] * y_i^e, packed under the paired ``layout``.
 
     Row-separable means: row i's entries use, besides the a-letters, only
     the letters of its own pair (y_i = x_i, or s_i for the raw
@@ -869,25 +870,28 @@ def _separable_table(rows: Sequence[Sequence[Poly]]) -> Tuple[list, list]:
     raises ValueError; there is no fallback.
 
     Returns the table, one dict per column of F mapping e to the
-    a-polynomial C[j][e] as {a-monomial: coefficient} (zero-free), and
-    per row the code of its plain letter y_i (None for a row of
-    constants).
+    a-polynomial C[j][e] as {packed a-monomial: coefficient} (zero-free),
+    and per row the packed unit of its plain letter y_i (0 for a row of
+    constants).  Packing is one-to-one on a-monomials, so tables compare
+    as the a-polynomials do.  ``layout`` must hold the entries' codes and
+    bound the row sums (``_row_bound``), as the table's minors need.
     """
+    unit = layout.unit
     table = None
-    ys = []
+    units = []
     for r, row in enumerate(rows):
         own = (2 * (r + 1), _S_BASE + 2 * (r + 1))
         y = None
         split = []
         for f in row:
-            # net exponent -> {a-monomial: coefficient}; the a-letters sort
-            # last, so the a-monomial is a suffix of the monomial.
+            # net exponent e -> {packed a-monomial v: coefficient}
             col: dict = {}
             for m, c in f.terms.items():
-                e = k = 0
+                e = v = 0
                 for code, x in m:
                     if code >= _A_NEG_LOW:
-                        break
+                        v += x * unit[code]
+                        continue
                     if code - code % 2 != y:
                         if y is not None or code - code % 2 not in own:
                             raise ValueError(
@@ -896,11 +900,10 @@ def _separable_table(rows: Sequence[Sequence[Poly]]) -> Tuple[list, list]:
                             )
                         y = code - code % 2
                     e += -x if code % 2 else x
-                    k += 1
                 by_a = col.setdefault(e, {})
-                by_a[m[k:]] = by_a.get(m[k:], 0) + c
+                by_a[v] = by_a.get(v, 0) + c
             split.append(
-                {e: nz for e, by_a in col.items() if (nz := {am: c for am, c in by_a.items() if c})}
+                {e: nz for e, by_a in col.items() if (nz := {v: c for v, c in by_a.items() if c})}
             )
         if table is None:
             table = split
@@ -908,8 +911,8 @@ def _separable_table(rows: Sequence[Sequence[Poly]]) -> Tuple[list, list]:
             raise ValueError(
                 f"not row-separable: the coefficient table of row {r + 1} differs from row 1's"
             )
-        ys.append(y)
-    return table or [], ys
+        units.append(0 if y is None else unit[y])
+    return table or [], units
 
 
 def _maximal_minors(columns: Sequence[Mapping[int, dict]], layout: _Layout) -> dict:
@@ -939,12 +942,12 @@ def _maximal_minors(columns: Sequence[Mapping[int, dict]], layout: _Layout) -> d
     return minors
 
 
-def _det_separable(rows: Sequence[Sequence[Poly]], layout: _Layout) -> dict:
+def _det_separable(table: Sequence[Mapping[int, dict]], units: Sequence[int], layout: _Layout) -> dict:
     """The determinant of a row-separable matrix by Cauchy-Binet, packed
     under the paired ``layout``, reduced modulo the pairing.
 
-    Each entry is split as F[i][j] = sum_e C[j][e] * y_i^e, with both
-    preconditions checked (``_separable_table``).  Then F = X * C^T with
+    ``table`` and ``units`` are the matrix as ``_separable_table`` splits
+    and packs it, F[i][j] = sum_e C[j][e] * y_i^e.  Then F = X * C^T with
     X[i][e] = y_i^e, and
 
         det F = sum_E det C[:, E] * det X[:, E]
@@ -956,25 +959,14 @@ def _det_separable(rows: Sequence[Sequence[Poly]], layout: _Layout) -> dict:
     distinct across all E and sigma, so nothing cancels and the cost is
     about the size of the determinant.
 
-    ``layout`` must hold the entries' codes and have a degree bound of at
-    least the row-sum bound (``_row_bound``).  Every term formed is a
-    sub-product of one entry term per row and per column, so within it.
-    The ratio routes' Weyl quotients (``characters._weyl_quotient``) pass
-    the layout that they divide and expand under, so their alternants
-    are never unpacked before the division.
+    ``layout`` must bound the matrix's row sums (``_row_bound``): every
+    term formed is a sub-product of one entry term per row and per
+    column.  The Weyl quotients (``characters._weyl_quotient``) pass their
+    integer basis table and the layout that they divide and expand under,
+    so their alternants are never unpacked before the division.
     """
-    n = len(rows)
-    unit = layout.unit
-    table, ys = _separable_table(rows)
-    packed = [
-        {
-            e: {sum(x * unit[code] for code, x in am): c for am, c in by_a.items()}
-            for e, by_a in col.items()
-        }
-        for col in table
-    ]
-    minors = _maximal_minors(packed, layout)
-    units = [0 if y is None else unit[y] for y in ys]
+    n = len(units)
+    minors = _maximal_minors(table, layout)
     # Every permutation with its parity: inserting k at position pos
     # puts it before k - pos smaller values.
     signed = [((), 0)]

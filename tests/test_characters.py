@@ -343,7 +343,8 @@ def test_route_determinants_by_cauchy_binet_equal_the_cofactor_expansion(group, 
         ]:
             rows = flc.characters._route_rows(group, n, route, exps)
             layout, _ = _Layout.for_products(rows, paired=True)
-            assert layout.to_poly(_det_separable(rows, layout)) == _det_cofactor(rows, paired=True)
+            det = _det_separable(*_separable_table(rows, layout), layout)
+            assert layout.to_poly(det) == _det_cofactor(rows, paired=True)
 
 
 def _clear_ratio_caches():
@@ -400,7 +401,7 @@ def test_route_refuses_a_column_that_breaks_the_weyl_symmetry(monkeypatch, group
             char(spec)
         monkeypatch.setattr(flc.characters, name, broken)
         rows = flc.characters._route_rows(group, 2, route, [2, 1])
-        _separable_table(rows)  # row-separable still
+        _separable_table(rows, _Layout.for_products(rows, paired=True)[0])  # row-separable still
         with pytest.raises(ValueError, match="Weyl symmetry"):
             char(spec)
     finally:

@@ -9,6 +9,7 @@ import flc.polyring
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from flc.characters import Group, _denominator_factors, weyl_denominator_product
 from flc.polyring import (
     A,
     ONE,
@@ -28,6 +29,7 @@ from flc.polyring import (
     _det_separable,
     _divide_binomial,
     _divide_heap,
+    _separable_table,
     eval_integer,
     map_s_to_x,
     pa,
@@ -277,6 +279,28 @@ def test_paired_layout_equals_the_reduced_poly_arithmetic(factors):
     out: dict = {}
     layout.mul_add(out, packed[0], packed[1], -2)
     assert layout.to_poly(out) == red(-2 * factors[0] * factors[1])
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_product_carries_no_cancelled_zeros(monkeypatch, n):
+    """The symplectic denominator's factors cancel a great deal modulo the
+    pairing: ``_Layout.product`` must drop those zeros after every factor,
+    so no accumulator that it hands to ``mul_add`` holds a zero
+    coefficient, and the product is still the reduced one."""
+    accumulators = []
+    true_mul_add = _Layout.mul_add
+
+    def spy(out, a, b, scale=1):
+        accumulators.append(b)
+        true_mul_add(out, a, b, scale)
+
+    factors = _denominator_factors(Group.SP, n)
+    layout, groups = _Layout.for_products([[f] for f in factors], paired=True)
+    monkeypatch.setattr(_Layout, "mul_add", staticmethod(spy))
+    prod = layout.product(g[0] for g in groups)
+    assert len(accumulators) == len(factors)
+    assert [sum(1 for c in acc.values() if not c) for acc in accumulators] == [0] * len(factors)
+    assert layout.to_poly(prod) == poly_reduce_inverses(weyl_denominator_product(Group.SP, n))
 
 
 @settings(max_examples=100)
@@ -606,7 +630,7 @@ def separable_matrices(draw):
 @example([[x1 * xb1 - ONE + a1, x1], [a1, x2]])
 def test_det_separable_equals_cofactor_and_leibniz(rows):
     layout, _ = _Layout.for_products(rows, paired=True)
-    got = layout.to_poly(_det_separable(rows, layout))
+    got = layout.to_poly(_det_separable(*_separable_table(rows, layout), layout))
     assert got == _det_cofactor(rows, paired=True) == poly_reduce_inverses(_leibniz(rows))
 
 
@@ -614,7 +638,7 @@ def test_det_separable_refuses_a_table_that_differs_by_row():
     rows = [[x1 + a1, x1 * x1], [x2 + a2, x2 * x2]]
     layout, _ = _Layout.for_products(rows, paired=True)
     with pytest.raises(ValueError, match="coefficient table of row 2 differs from row 1's"):
-        _det_separable(rows, layout)
+        _separable_table(rows, layout)
 
 
 @pytest.mark.parametrize(
@@ -628,7 +652,7 @@ def test_det_separable_refuses_a_table_that_differs_by_row():
 def test_det_separable_refuses_another_pairs_letter(rows, name):
     layout, _ = _Layout.for_products(rows, paired=True)
     with pytest.raises(ValueError, match=f"{name}, outside its own pair"):
-        _det_separable(rows, layout)
+        _separable_table(rows, layout)
 
 
 @pytest.mark.parametrize("e", [1, 40])
