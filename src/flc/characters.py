@@ -19,8 +19,9 @@ alphabet a_1, a_2, ...  It can be computed as
   basis group, n, E) and cached (``_weyl_quotient``), or
 * a flagged Jacobi-Trudi determinant of h functions (``char_jacobi_trudi``),
   which involves no division at all.  Its matrix is not row-separable
-  (the flagged h of row i spans pairs i..n), so it keeps the cofactor
-  expansion ``polyring._det_cofactor``.
+  (the flagged h of row i spans pairs i..n), so it takes no Cauchy-Binet
+  split: ``polyring._det_cofactor`` hands the matrix itself to the
+  Laplace expansion that the ratio routes' minors run on.
 
 Groups: GL (general linear), SP (symplectic), OO (odd orthogonal), EO
 (even orthogonal, characters of o(2n)), EO_DIFF (the signed difference
@@ -483,15 +484,23 @@ def char_jacobi_trudi(spec: CharSpec) -> Poly:
 
     Row i uses the flagged variable content (pairs/variables i..n); no
     division is involved.  Covers GL, SP, OO, EO and EO_DIFF.
+
+    Only the leading k x k block is built, k the number of nonzero parts:
+    a zero part's column j holds h_{i-j}, which is 0 above the diagonal
+    and h_0 = 1 on it, so the matrix is block lower triangular with that
+    block and a unitriangular one on its diagonal.  EO_DIFF's h_0 is 0,
+    so it keeps the whole n x n matrix, and lambda_n = 0 gives 0 by
+    computation.
     """
     kind = _JT_KIND.get(spec.group)
     if kind is None:
         raise ValueError(f"no Jacobi-Trudi determinant for group {spec.group}")
     n, lam = spec.rank, spec.lam
+    k = n if kind is HKind.EOD else partition_length(lam)
     rows = []
-    for i in range(1, n + 1):
+    for i in range(1, k + 1):
         vs = _flag_spec(kind, i, n)
-        rows.append([h(vs, lam[j - 1] - j + i) for j in range(1, n + 1)])
+        rows.append([h(vs, lam[j - 1] - j + i) for j in range(1, k + 1)])
     return _det_cofactor(rows, paired=True)
 
 

@@ -68,10 +68,11 @@ __all__ = [
 ]
 
 
-# Bound of every lru_cache here and in characters.  A pass over the
-# rank <= 3 grids fills at most 128 entries of any of them, so the bound
-# only keeps a long-running process that visits many shapes from growing
-# without limit.
+# Bound of every lru_cache here and in characters.  The default
+# ``flc verify`` fills at most 223 entries of any of them (``_weyl_quotient``;
+# ``h`` 166), and one pass over a rank <= 3 grid of the ratio or
+# division-free routes at most 114, so the bound only keeps a
+# long-running process that visits many shapes from growing without limit.
 _CACHE_SIZE = 4096
 
 

@@ -471,11 +471,13 @@ class _Layout:
         x_i*xb_i cancels inside the add that multiplies two monomials.
         Packing adds colliding terms, so packing is the reduction of
         ``poly_reduce_inverses``, and every product and sum formed on the
-        ints is already reduced.  The Jacobi-Trudi determinant
-        (``_det_cofactor(rows, paired=True)``), the ratio routes' tables,
-        minors and determinants (``_separable_table``, ``_maximal_minors``,
-        ``_det_separable``), their Weyl quotients (``_weyl_quotient``),
-        ``group_tableau_sum`` and ``poly_exact_div_inverses`` use it.
+        ints is already reduced.  Every determinant's minors
+        (``_maximal_minors``) use it, for Jacobi-Trudi through
+        ``_det_cofactor(rows, paired=True)`` and for the ratio routes
+        through their packed tables (``_separable_table``) and
+        ``_det_separable``; so do the Weyl quotients
+        (``_weyl_quotient``), ``group_tableau_sum`` and
+        ``poly_exact_div_inverses``.
 
     Every field is ``degree.bit_length() + 1`` bits wide.  A monomial is
     the int sum of e_k * 2^(shift of field k), with a signed digit e_k in
@@ -915,22 +917,29 @@ def _separable_table(rows: Sequence[Sequence[Poly]], layout: _Layout) -> Tuple[l
     return table or [], units
 
 
-def _maximal_minors(columns: Sequence[Mapping[int, dict]], layout: _Layout) -> dict:
-    """The nonzero maximal minors det C[:, E] of a coefficient table.
+def _maximal_minors(rows: Sequence[Mapping[int, dict]], layout: _Layout) -> dict:
+    """The nonzero maximal minors of a matrix, the one Laplace expansion
+    behind every determinant here.
 
-    ``columns[j]`` maps each exponent e to C[j][e], packed under
-    ``layout``; E runs over the n-subsets of the exponents, n the number
-    of columns, and each key is E as an ascending tuple.  A Laplace
-    expansion down the rows of C, bottom-up over column subsets: level
-    r + 1 grows from level r's nonzero minors only.  Each minor is a sum
-    of products of one C[j][e] per j, so ``layout`` must bound the sum
-    over j of the largest degree of C[j][e].
+    ``rows[j]`` maps each column key e to the nonzero entry in row j and
+    column e, packed under ``layout``; E runs over the n-subsets of the
+    column keys, n the number of rows, and each minor is keyed by E as
+    an ascending tuple.  The expansion goes down the rows, bottom-up over
+    column subsets: level r + 1 grows from level r's nonzero minors only,
+    so at most two levels are held at once.  Each minor is a sum of
+    products of one entry per row, so ``layout`` must bound the sum over
+    rows of the row's largest entry degree.
+
+    The ratio routes pass a coefficient table, whose rows are its columns
+    C[j] keyed by exponent (``_det_separable``, ``_ratio_character``);
+    ``_det_cofactor`` passes a square matrix keyed by column index, whose
+    one maximal minor is its determinant.
     """
     minors: dict = {(): {0: 1}}
-    for j, col in enumerate(columns):
+    for j, row in enumerate(rows):
         grown: dict = {}
         for cols_e, minor in minors.items():
-            for e, coeffs in col.items():
+            for e, coeffs in row.items():
                 if e in cols_e:
                     continue
                 k = bisect(cols_e, e)
@@ -989,67 +998,38 @@ def _det_separable(table: Sequence[Mapping[int, dict]], units: Sequence[int], la
 
 
 def _det_cofactor(rows: Sequence[Sequence[Poly]], paired: bool = False) -> Poly:
-    """First-row cofactor expansion on packed exponents, memoised on the
-    surviving column set.
+    """The determinant of a square matrix by ``_maximal_minors``, the
+    Laplace expansion that the ratio routes' minors run on.
 
-    A last column that is zero above a diagonal 1 is peeled first by a
-    Laplace step (Jacobi-Trudi matrices of shapes with trailing zero parts
-    end in such columns), so a triangular matrix packs nothing.  The rest
-    is packed once by ``_Layout.for_products``, one group per row, so the
-    degree bound D is the sum over rows of the row's largest entry
-    degree; every product in the expansion takes one entry from each of
-    some set of rows, so it, and every minor, has total degree at most D
-    and no field overflows.  Products accumulate in place in one dict per
-    minor (``_Layout.mul_add``), and the determinant is unpacked once.
+    The matrix is packed once by ``_Layout.for_products``, one group per
+    row, so the degree bound D is the sum over rows of the row's largest
+    entry degree; every minor is a sum of products of one entry from each
+    of some set of rows, so its total degree is at most D and no field
+    overflows.  Row i goes to the engine as {column j: entry}, so the
+    only maximal minor is keyed by every column, and the determinant is
+    unpacked once; a matrix with no nonzero maximal minor gives 0.
 
     ``paired`` selects the paired layout (see ``_Layout``): the
     determinant then comes out reduced modulo x_i*xb_i = 1 and
     s_i*sb_i = 1, as ``char_jacobi_trudi`` needs it; ``poly_determinant``
-    keeps the free ring's formal layout.  The ratio routes' matrices are
-    row-separable and go through ``_separable_table`` instead;
-    Jacobi-Trudi matrices are not (the flagged h of row i spans pairs
-    i..n).
+    keeps the free ring's formal layout.
     """
-    k = len(rows)
-    while k > 1 and rows[k - 1][k - 1] == ONE and not any(rows[i][k - 1] for i in range(k - 1)):
-        k -= 1
-    if k == 0:
-        return ONE
-    if k == 1 and not paired:
-        return rows[0][0]
-    layout, packed = _Layout.for_products((row[:k] for row in rows[:k]), paired)
-    memo: dict = {}
-
-    def rec(cols: tuple) -> dict:
-        r = k - len(cols)
-        if len(cols) == 1:
-            return packed[r][cols[0]]
-        cached = memo.get(cols)
-        if cached is not None:
-            return cached
-        out: dict = {}
-        for idx, c in enumerate(cols):
-            entry = packed[r][c]
-            if entry:
-                sub = rec(cols[:idx] + cols[idx + 1:])
-                layout.mul_add(out, entry, sub, -1 if idx % 2 else 1)
-        out = {m: c for m, c in out.items() if c}
-        memo[cols] = out
-        return out
-
-    return layout.to_poly(rec(tuple(range(k))))
+    layout, packed = _Layout.for_products(rows, paired)
+    minors = _maximal_minors([{j: f for j, f in enumerate(row) if f} for row in packed], layout)
+    return layout.to_poly(minors.get(tuple(range(len(rows))), {}))
 
 
 def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square matrix of polynomials, by memoised cofactor
-    expansion at every size (see ``_det_cofactor``).
+    """Determinant of a square matrix of polynomials, by Laplace expansion
+    at every size (see ``_det_cofactor``).
 
     The expansion runs on packed exponents under one layout whose degree
     bound is the sum over rows of each row's largest entry degree.  Every
     term of the determinant, of every minor and of every product formed
     on the way is a product of at most one entry per row, so its total
-    degree stays within that bound and no packed field overflows.  The
-    memo holds one minor per column subset, at most 2^k of them.
+    degree stays within that bound and no packed field overflows.  It
+    holds two levels of minors at a time, one per column subset of the
+    level's size, so at most C(k, k // 2) per level.
     """
     k = len(rows)
     for row in rows:

@@ -1,7 +1,9 @@
-"""Shared test helpers: the acceptance summary, hypothesis strategies and
-a denominator fault for negative controls."""
+"""Shared test helpers: the acceptance summary, hypothesis strategies, a
+Leibniz determinant oracle and a denominator fault for negative
+controls."""
 
 import sys
+from itertools import permutations
 
 import pytest
 from hypothesis import strategies as st
@@ -52,6 +54,20 @@ def nonzero_polys(draw):
     if not p.terms:
         p = p + poly_const(draw(st.integers(1, 3)))
     return p
+
+
+def _leibniz(rows):
+    """The determinant as a plain signed sum over permutations, in the
+    free ring; it shares no determinant code with flc."""
+    k = len(rows)
+    total = ZERO
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = poly_const(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
 
 
 @pytest.fixture

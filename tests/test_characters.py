@@ -57,6 +57,7 @@ from flc.polyring import (
 )
 
 import oracles
+from conftest import _leibniz
 
 red = poly_reduce_inverses
 
@@ -169,8 +170,9 @@ def test_three_routes_agree_rank3_spot(group):
     ],
 )
 def test_jacobi_trudi_equals_tableau_sum_rank6(group, lam):
-    # 6x6 Jacobi-Trudi determinants, larger than any other test reaches;
-    # the cofactor expansion must stay fast past 5x5.
+    # Jacobi-Trudi builds only the leading block of nonzero parts: SP
+    # lambda=(1^6) is 6x6, larger than any other test reaches, and must
+    # stay fast past 5x5; GL (2,1,1) is 3x3 and OO/EO (1,1) are 2x2.
     spec = char_spec(group, 6, make_partition(lam, 6))
     assert char_jacobi_trudi(spec) == tableau_sum(group, 6, spec.lam)
 
@@ -336,7 +338,8 @@ _SEPARABLE_ROUTES = [(g, r) for g in BASE_GROUPS for r in ("raw", "alternant")] 
 def test_route_determinants_by_cauchy_binet_equal_the_cofactor_expansion(group, route):
     """Every numerator and denominator matrix of the ratio routes, n <= 3,
     parts <= 2: Cauchy-Binet on the paired layout equals the cofactor
-    expansion of the same matrix."""
+    expansion of the same matrix, and both equal the Leibniz sum, which
+    shares no engine with them."""
     for n in (1, 2, 3):
         for exps in [[n - (j + 1) for j in range(n)]] + [
             [lam[j] + n - (j + 1) for j in range(n)] for lam in shapes(n, 2)
@@ -344,7 +347,8 @@ def test_route_determinants_by_cauchy_binet_equal_the_cofactor_expansion(group, 
             rows = flc.characters._route_rows(group, n, route, exps)
             layout, _ = _Layout.for_products(rows, paired=True)
             det = _det_separable(*_separable_table(rows, layout), layout)
-            assert layout.to_poly(det) == _det_cofactor(rows, paired=True)
+            want = poly_reduce_inverses(_leibniz(rows))
+            assert layout.to_poly(det) == _det_cofactor(rows, paired=True) == want
 
 
 def _clear_ratio_caches():
@@ -442,10 +446,12 @@ def _factor_group(group, route):
 
 def _ratio_by_whole_division(group, route, n, lam):
     """The whole-numerator oracle: the numerator determinant by cofactor
-    expansion, divided modulo the pairing by the denominator's
-    product-form factors."""
+    expansion, checked against the Leibniz sum, divided modulo the
+    pairing by the denominator's product-form factors."""
     exps = [lam[j] + n - (j + 1) for j in range(n)]
-    numer = _det_cofactor(flc.characters._route_rows(group, n, route, exps), paired=True)
+    rows = flc.characters._route_rows(group, n, route, exps)
+    numer = _det_cofactor(rows, paired=True)
+    assert numer == poly_reduce_inverses(_leibniz(rows))
     out = poly_exact_div_inverses_many(numer, _denominator_factors(_factor_group(group, route), n))
     if group is Group.EO and lam[-1] == 0:
         out = poly_halve(out)
