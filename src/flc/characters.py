@@ -380,9 +380,10 @@ def _weyl_quotient(route: str, group: Group, n: int, cols_e: tuple) -> Poly:
     a bialternant in the free ring of the z_i, with no pairing.  Under one
     paired layout, the alternant is emitted by Cauchy-Binet
     (``_det_separable``) from the integer table {k: {0: c}} of the p_e,
-    with z_i written as x_i, divided by the binomials
-    (``_divide_packed``: bar-free ints, as in the free ring), expanded once
-    by z_i -> x_i + xb_i (GL: no expansion) and multiplied by own.  Raw
+    with z_i written as x_i, divided by each binomial z_i - z_j in turn
+    (``_divide_packed``, the one division kernel: bar-free ints, as in
+    the free ring), expanded once by z_i -> x_i + xb_i (GL: no
+    expansion) and multiplied by own.  Raw
     OO's z = s^2 + sb^2 is x + xb, so its quotient comes out in the
     x-letters.  An inexact quotient raises DivisionNotExact.  Cached on
     (route, basis group, n, E): the route is in the key so that the raw

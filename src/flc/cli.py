@@ -300,7 +300,7 @@ def _swap_pairs(p: Poly, i: int, j: int, barred: bool) -> Poly:
     return poly_substitute(p, mapping)
 
 
-def _check_symmetry(group: Group, max_rank: int, max_part: int) -> bool:
+def _check_symmetry(group: Group, max_part: int) -> bool:
     n = 2
     barred = group is not Group.GL
     lam_full = make_partition([min(2, max_part), min(1, max_part)], n)
@@ -367,7 +367,7 @@ def _verify_checks(
                 (f"recurrence[{name}]", lambda g=g: _check_recurrence(g, max_rank, max_part))
             )
             checks.append(
-                (f"symmetry[{name}]", lambda g=g: _check_symmetry(g, max_rank, max_part))
+                (f"symmetry[{name}]", lambda g=g: _check_symmetry(g, max_part))
             )
         checks.append(
             (f"denominator[{name}]", lambda g=g: _check_denominator(g, max_rank))

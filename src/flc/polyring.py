@@ -495,16 +495,16 @@ class _Layout:
 
     For bar-free monomials (every digit >= 0) both modes give the same
     int as the graded packing of the plain letters, and its order is
-    exactly the graded-lex order.  Division (``_divide_packed``) works
-    on such ints only: the free ring's, the cleared operands of
-    ``poly_exact_div_inverses``, and the Weyl quotients' alternants in
-    the orbit letters z_i.  Its guard test: every field's low bits hold
-    any value up to ``degree`` and its top bit is a guard bit; a difference
-    m - t is a monomial exactly when it sets no bit of ``guard``: a field
-    that goes below zero borrows into its own guard bit, and a total
-    degree below zero makes the int negative, which sets the guard bit
-    of the degree field (|m - t| < 2^(that bit), because t's degree is
-    at most ``degree``).
+    exactly the graded-lex order.  The one division kernel,
+    ``_divide_packed``, works on such ints only: the free ring's, the
+    cleared operands of ``poly_exact_div_inverses``, and the Weyl
+    quotients' alternants in the orbit letters z_i.  Its guard test:
+    every field's low bits hold any value up to ``degree`` and its top
+    bit is a guard bit; a difference m - t is a monomial exactly when it
+    sets no bit of ``guard``: a field that goes below zero borrows into
+    its own guard bit, and a total degree below zero makes the int
+    negative, which sets the guard bit of the degree field
+    (|m - t| < 2^(that bit), because t's degree is at most ``degree``).
     """
 
     __slots__ = ("shifts", "unit", "guard", "field", "half", "bias", "cut", "high")
@@ -627,48 +627,19 @@ class _Layout:
 
 
 def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
-    """Packed quotient of rem by divisor, both under ``layout``.
+    """Packed quotient of rem by divisor, both under ``layout``; ``rem``
+    is consumed as the remainder.  The one division kernel: public
+    ``poly_exact_div`` and ``poly_exact_div_inverses`` and the Weyl
+    quotients (``characters._weyl_quotient``) all divide here.
 
-    ``rem`` is consumed as the remainder.  Two kernels, chosen by the
-    divisor's term count:
-
-    two terms (``_divide_binomial``)
-        A linear sweep with no heap.  The ratio routes divide each Weyl
-        quotient by the binomials z_i - z_j (``characters._weyl_quotient``),
-        and ``hfuncs.h_closed_one_pair`` by x_i - xb_i or s_i - sb_i.
-    one term, or three or more (``_divide_heap``)
-        Leading-term elimination driven by a max-heap of the remainder's
-        terms (Johnson, "Sparse polynomial arithmetic", 1974), for the
-        general divisors that public ``poly_exact_div`` and
-        ``poly_exact_div_inverses`` accept.
-
-    Both run on the packed exponent vectors of Monagan and Pearce
-    ("Polynomial division using dynamic arrays, heaps, and packed
-    exponent vectors", CASC 2007).  They return the same quotient, check
-    every quotient term the same way (the layout's guard test and
-    divisibility of the coefficient), and raise DivisionNotExact naming
-    the same term and the divisor's lead term, each unpacked by
-    ``layout.to_poly``.  Under ``poly_exact_div_inverses`` both are
-    cleared monomials.
-    """
-    if len(divisor) == 2:
-        return _divide_binomial(rem, divisor, layout)
-    return _divide_heap(rem, divisor, layout)
-
-
-def _not_divisible(layout: _Layout, m: int, c: int, lq: int, cq: int) -> DivisionNotExact:
-    return DivisionNotExact(
-        f"remainder nonzero: leading term {layout.to_poly({m: c})} "
-        f"is not divisible by {layout.to_poly({lq: cq})}"
-    )
-
-
-def _divide_heap(rem: dict, divisor: dict, layout: _Layout) -> dict:
-    """Classic leading-term elimination in the graded-lex order: a lazy
-    max-heap of the remainder's ints yields its current leading term, so
-    the loop costs roughly (quotient terms) x (divisor terms) heap
-    operations.  Fails at the largest remainder term that lead(divisor)
-    does not divide.
+    Classic leading-term elimination in the graded-lex order (Johnson,
+    "Sparse polynomial arithmetic", 1974) on the layout's packed ints: a
+    lazy max-heap of the remainder's ints yields its current leading
+    term, so the loop costs roughly (quotient terms) x (divisor terms)
+    heap operations.  Each quotient term must pass the layout's guard
+    test and divide the coefficient; the largest remainder term that
+    lead(divisor) does not divide raises DivisionNotExact, naming that
+    term and lead(divisor).
 
     No overflow, given that the layout bounds rem and divisor: the
     remainder starts as rem, and each monomial added later is t*m_q for a
@@ -693,7 +664,10 @@ def _divide_heap(rem: dict, divisor: dict, layout: _Layout) -> dict:
             continue  # stale entry
         tm = m - lq
         if tm & guard or c % cq:
-            raise _not_divisible(layout, m, c, lq, cq)
+            raise DivisionNotExact(
+                f"remainder nonzero: leading term {layout.to_poly({m: c})} "
+                f"is not divisible by {layout.to_poly({lq: cq})}"
+            )
         tc = c // cq
         quot[tm] = tc  # the lead product tm*lead(q) cancels m exactly
         for off, c2 in offsets:
@@ -708,62 +682,16 @@ def _divide_heap(rem: dict, divisor: dict, layout: _Layout) -> dict:
     return quot
 
 
-def _divide_binomial(rem: dict, divisor: dict, layout: _Layout) -> dict:
-    """The heap's elimination for a divisor c1*M1 + c2*M2 (M1 > M2),
-    without the heap.
-
-    With d = M1 - M2 on the packed ints, eliminating the remainder term at
-    m adds -(c/c1)*c2 at m - d and nowhere else, so the remainder splits
-    into chains m, m - d, m - 2d, ... that never meet.  The dividend's
-    ints are sorted once, descending; each one that no earlier chain has
-    consumed starts a chain, which walks down, popping the dividend terms
-    it passes, until its coefficient cancels to zero.  Each term is
-    reached with the coefficient the heap would pop it with, and goes
-    through the heap's guard and coefficient tests.
-
-    The heap fails at the largest term that fails, which is the largest
-    of the chains' first failures.  So a failure is kept, not raised, and
-    the sweep goes on only above it: later chains start lower, and a walk
-    stops once it passes below the failure.  The sweep forms a subset of
-    the monomials the heap forms (none, past the failure), so the heap's
-    no-overflow argument covers it.
-    """
-    (lq, cq), (m2, c2) = sorted(divisor.items(), reverse=True)
-    d = lq - m2
-    guard = layout.guard
-    quot: dict = {}
-    failed = None  # (m, c) of the largest failing term so far
-    pop = rem.pop
-    for m in sorted(rem, reverse=True):
-        if failed is not None and m < failed[0]:
-            break
-        c = pop(m, 0)
-        while c:
-            tm = m - lq
-            if tm & guard or c % cq:
-                if failed is None or m > failed[0]:
-                    failed = (m, c)
-                break
-            tc = c // cq
-            quot[tm] = tc
-            m -= d
-            if failed is not None and m < failed[0]:
-                break
-            c = pop(m, 0) - tc * c2
-    if failed is not None:
-        raise _not_divisible(layout, *failed, lq, cq)
-    return quot
-
-
 def poly_exact_div(p: Poly, q: Poly) -> Poly:
     """Divide p by q, raising DivisionNotExact unless q divides p exactly.
 
-    One call of ``_divide_packed`` under a ``_Layout`` of the codes of p
-    and q, with degree bound D, the larger total degree of p and q.  That
-    bound holds for every monomial the division touches: each remainder
-    and quotient monomial is at most lead(p) in the graded order, so its
-    total degree is at most deg p <= D.  p and q are packed once and the
-    quotient is unpacked once, at the end.
+    One call of the division kernel ``_divide_packed`` under a formal
+    ``_Layout`` of the codes of p and q, with degree bound D, the larger
+    total degree of p and q.  That bound holds for every monomial the
+    division touches: each remainder and quotient monomial is at most
+    lead(p) in the graded order, so its total degree is at most
+    deg p <= D.  p and q are packed once and the quotient is unpacked
+    once, at the end.
     """
     if not q.terms:
         raise DivisionByZero("division by the zero polynomial")
@@ -817,7 +745,9 @@ def poly_exact_div_inverses(p: Poly, q: Poly) -> Poly:
     granting the inverse relation.
 
     One paired ``_Layout`` serves the step: packing reduces, clearing is
-    one add per int, and the compensation is folded into the unpack.
+    one add per int, the cleared operands go to the division kernel
+    ``_divide_packed`` as they are, and the compensation is folded into
+    the unpack.
     With D the larger total degree of p and q, s the degree of q and
     ``plain`` the product of one plain letter per inverse pair, p is
     cleared by plain^(D + 2s) and q by plain^s.  Net exponents lie in

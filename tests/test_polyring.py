@@ -3,7 +3,6 @@ rendering and serialization for the sparse polynomial core."""
 
 import pytest
 
-import flc.polyring
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -22,11 +21,8 @@ from flc.polyring import (
     OddHalfPower,
     Poly,
     _Layout,
-    _codes_and_degree,
     _det_cofactor,
     _det_separable,
-    _divide_binomial,
-    _divide_heap,
     _separable_table,
     eval_integer,
     map_s_to_x,
@@ -147,14 +143,31 @@ def test_nonpositive_a_never_stored():
 # exact division
 
 
+# The examples of both tests divide by binomials: a lead coefficient
+# that is not a unit, a negative second coefficient, a lead spanning
+# several fields, a negative lead, x_i*x_j - 1 (1 - xb_i*xb_j times
+# x_i*x_j, as poly_exact_div_inverses clears it, by a higher power), and
+# a formal x1 - xb1.
 @settings(max_examples=200)
 @given(polys(), nonzero_polys())
+@example(x1 * x1 + ONE, 2 * x1 - 3 * ONE)
+@example(x1 * a2 - x2 * x2, x2 - 2 * a1)
+@example(x2 * x3 + x1 * x3, x1 * x2 - x3)
+@example(x1 * x2 - a1 * a1, -3 * x1 * a1 + 2 * x2)
+@example(x1 ** 3 * xb2 + a1, x1 * x2 - ONE)
+@example(x1 * x1 + xb1, x1 - xb1)
 def test_exact_div_round_trip(p, q):
     assert poly_exact_div(p * q, q) == p
 
 
 @settings(max_examples=200)
 @given(polys(), nonzero_polys())
+@example((x1 * x1 + ONE) * (2 * x1 - 3 * ONE) + ONE, 2 * x1 - 3 * ONE)  # a non-unit lead
+@example(x2 * x3 * (x1 * x2 - x3) + x1 * x3, x1 * x2 - x3)  # a remainder term below the lead
+@example((x1 * a2 - x2) * (x2 - 2 * a1) + a1, x2 - 2 * a1)
+@example((x1 - a1) * (-3 * x1 * a1 + 2 * x2) + x2, -3 * x1 * a1 + 2 * x2)
+@example((x1 ** 3 * xb2 + a1) * (x1 * x2 - ONE) + xb2, x1 * x2 - ONE)
+@example((x1 + xb1) * (x1 - xb1) + x1 * xb1, x1 - xb1)
 def test_exact_div_quotient_is_exact(p, q):
     # any quotient returned must multiply back; otherwise the division refuses
     try:
@@ -174,8 +187,11 @@ def test_exact_div_quotient_is_exact(p, q):
         (2 * x1, 3 * x1, "2*x1", "3*x1"),
         # a divisor letter that the dividend never mentions
         (x1 * x1 + a1, x1 + a2, "a2^2", "x1"),
+        # by x1 - x3, eliminating x1^3 walks x1^2*x3 and x1*x3^2 down to
+        # x3^3, but x2^3, above x3^3, is the largest term that fails
+        (x1 ** 3 + x2 ** 3, x1 - x3, "x2^3", "x1"),
     ],
-    ids=["remainder", "lower-field", "coefficient", "absent-letter"],
+    ids=["remainder", "lower-field", "coefficient", "absent-letter", "largest-failure"],
 )
 def test_exact_div_rejects_remainder(p, q, lead, lead_q):
     with pytest.raises(DivisionNotExact) as info:
@@ -426,71 +442,6 @@ def test_exact_div_inverses_many_names_the_folds_term():
     with pytest.raises(DivisionNotExact) as err:
         poly_exact_div_inverses_many(ONE, [ONE, poly_const(2), x1])
     assert str(err.value) == "remainder nonzero: leading term 1 is not divisible by 2"
-
-
-# ---------------------------------------------------------------------------
-# the two division kernels: the sweep for binomials, the heap otherwise
-
-# Binomial divisors: a lead coefficient that is not a unit, a negative
-# second coefficient, a lead spanning several fields, a negative lead,
-# x_i*x_j - 1 (1 - xb_i*xb_j times x_i*x_j, as poly_exact_div_inverses
-# clears it, by a higher power), and a formal x1 - xb1.
-_BINOMIALS = [
-    2 * x1 - 3 * ONE,
-    x2 - 2 * a1,
-    x1 * x2 - x3,
-    -3 * x1 * a1 + 2 * x2,
-    x1 * x2 - ONE,
-    x1 - xb1,
-]
-
-
-def _both_kernels(p, q):
-    """Quotient or DivisionNotExact message of each kernel, run on the
-    same packed operands under ``poly_exact_div``'s layout."""
-    codes: set = set()
-    deg = max(_codes_and_degree(p, codes), _codes_and_degree(q, codes))
-    layout = _Layout(codes, deg)
-    a, b = layout.pack_terms(p), layout.pack_terms(q)
-    out = []
-    for kernel in (_divide_binomial, _divide_heap):
-        try:
-            out.append(layout.to_poly(kernel(dict(a), b, layout)))
-        except DivisionNotExact as err:
-            out.append(str(err))
-    return out
-
-
-@settings(max_examples=300)
-@given(st.sampled_from(_BINOMIALS), polys(), polys())
-@example(x1 * x2 - ONE, x1 ** 3 * xb2 + a1, ZERO)
-@example(2 * x1 - 3 * ONE, x1 * x1 + ONE, ONE)  # quotient coefficients 1/2 on the way
-@example(x1 * x2 - x3, x2 * x3, x1 * x3)  # an extra term on a chain of its own
-def test_sweep_equals_heap(q, f, extra):
-    p = f * q + extra
-    sweep, heap = _both_kernels(p, q)
-    assert sweep == heap
-    if not extra:
-        assert sweep == f
-
-
-def test_sweep_names_the_largest_failure():
-    # By x1 - x3, the chain from x1^3 walks x1^2*x3, x1*x3^2 and fails at
-    # x3^3.  The chain from x2^3 starts lower and fails at once, at a
-    # term above x3^3, which the heap reaches first.
-    sweep, heap = _both_kernels(x1 ** 3 + x2 ** 3, x1 - x3)
-    assert sweep == heap == "remainder nonzero: leading term x2^3 is not divisible by x1"
-
-
-def test_divide_packed_sends_binomials_to_the_sweep(monkeypatch):
-    def no_heap(*args):
-        raise AssertionError("heap kernel called")
-
-    monkeypatch.setattr(flc.polyring, "_divide_heap", no_heap)
-    assert poly_exact_div(x1 * x1 - x2 * x2, x1 - x2) == x1 + x2
-    assert poly_exact_div_inverses_many(x1 * x1 - xb1 * xb1, [x1 - xb1]) == x1 + xb1
-    with pytest.raises(AssertionError):
-        poly_exact_div(x1 * x1 - x2 * x2, x1 - x2 + a1)
 
 
 # ---------------------------------------------------------------------------
