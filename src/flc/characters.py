@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, product, zip_longest
-from math import comb
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from .hfuncs import _CACHE_SIZE, HKind, VarSpec, factorial_power, h
@@ -65,8 +64,8 @@ from .polyring import (
     Poly,
     _Layout,
     _maximal_minors,
-    _poly,
     _separable_table,
+    _sum_of_split_products,
     X,
     XB,
     eval_integer,
@@ -382,9 +381,9 @@ def _weyl_quotient(route: str, group: Group, n: int, cols_e: tuple) -> Poly:
     (``_det_separable``) from the integer table {k: {0: c}} of the p_e,
     with z_i written as x_i, divided by each binomial z_i - z_j in turn
     (``_divide_packed``, the one division kernel: bar-free ints, as in
-    the free ring), expanded once by z_i -> x_i + xb_i (GL: no
-    expansion) and multiplied by own.  Raw
-    OO's z = s^2 + sb^2 is x + xb, so its quotient comes out in the
+    the free ring), expanded once by z_i -> x_i + xb_i
+    (``_Layout.expand_orbits``; GL: no expansion) and multiplied by own.
+    Raw OO's z = s^2 + sb^2 is x + xb, so its quotient comes out in the
     x-letters.  An inexact quotient raises DivisionNotExact.  Cached on
     (route, basis group, n, E): the route is in the key so that the raw
     and alternant routes never read each other's quotients.
@@ -397,23 +396,14 @@ def _weyl_quotient(route: str, group: Group, n: int, cols_e: tuple) -> Poly:
     # z-degree; own adds at most one per pair.
     layout = _Layout(codes, n * (max(map(len, basis)) - 1 + (1 if own else 0)), paired=True)
     table = [{k: {0: c} for k, c in enumerate(p) if c} for p in basis]
-    quot = _det_separable(table, [layout.unit[code] for code in codes], layout)
+    units = [layout.unit[code] for code in codes]
+    quot = _det_separable(table, units, layout)
     for z in _z_divisors(n):
         quot = _divide_packed(quot, layout.pack_terms(z), layout)
-    units = [(layout.unit[code], sh) for code, sh in layout.shifts]
     if group is not Group.GL:
-        bias, field, half = layout.bias, layout.field, layout.half
-        for u, sh in units:
-            out: dict = {}
-            get = out.get
-            for v, c in quot.items():
-                k = (((v + bias) >> sh) & field) - half
-                for j in range(k + 1):
-                    w = v - 2 * j * u
-                    out[w] = get(w, 0) + c * comb(k, j)
-            quot = out
+        quot = layout.expand_orbits(quot)
     if own:
-        quot = _Layout.product([quot, *({u: 1, -u: -1} for u, _ in units)])
+        quot = _Layout.product([quot, *({u: 1, -u: -1} for u in units)])
     return layout.to_poly(quot)
 
 
@@ -431,7 +421,8 @@ def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
     exactly, and the character is sum_E c_E(a) * chi_E(x) with
     c_E = det C'[:, E] (``polyring._maximal_minors``) and chi_E the cached
     quotient ``_weyl_quotient``.  The x- and a-letters are disjoint, so each
-    product monomial is the concatenation of the two.
+    product monomial is the concatenation of the two
+    (``polyring._sum_of_split_products``).
 
     chi_E divides by the denominator's product form, which is only sound
     when the reduced denominator determinant equals the reduced product
@@ -456,15 +447,8 @@ def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
     # Outside GL every alternant route has the even basis over EO's cross
     # factors, so SP, OO and EO share their quotients there.
     basis_group = Group.EO if route == "alternant" and group is not Group.GL else group
-    out: dict = {}
-    get = out.get
-    for cols_e, minor in minors.items():
-        chi = _weyl_quotient(route, basis_group, n, cols_e).terms.items()
-        for ma, ca in layout.to_poly(minor).terms.items():
-            for mx, cx in chi:
-                m = mx + ma
-                out[m] = get(m, 0) + cx * ca
-    char = _poly({m: c for m, c in out.items() if c})
+    pairs = ((_weyl_quotient(route, basis_group, n, e), layout.to_poly(m)) for e, m in minors.items())
+    char = _sum_of_split_products(pairs)
     if group is Group.EO and lam[n - 1] == 0:
         char = poly_halve(char)
     return char

@@ -27,6 +27,7 @@ import heapq
 from bisect import bisect
 from dataclasses import dataclass
 from functools import reduce
+from math import comb
 from typing import Iterable, Mapping, Sequence, Tuple
 
 __all__ = [
@@ -262,27 +263,30 @@ class Poly:
         return bool(self.terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = poly_const(other)
-        if not isinstance(other, Poly):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other) -> "Poly":
+    def _add(self, other, sign: int) -> "Poly":
+        """self + sign * other: the one loop behind ``+`` and ``-``."""
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self.terms)
         for m, c in other.terms.items():
-            nc = out.get(m, 0) + c
+            nc = out.get(m, 0) + sign * c
             if nc:
                 out[m] = nc
             else:
                 del out[m]
         return _poly(out)
+
+    def __add__(self, other) -> "Poly":
+        return self._add(other, 1)
 
     __radd__ = __add__
 
@@ -290,17 +294,7 @@ class Poly:
         return _poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            nc = out.get(m, 0) - c
-            if nc:
-                out[m] = nc
-            else:
-                del out[m]
-        return _poly(out)
+        return self._add(other, -1)
 
     def __rsub__(self, other) -> "Poly":
         other = _coerce(other)
@@ -315,27 +309,16 @@ class Poly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        if not a:
-            return _poly({})
         out: dict = {}
         get = out.get
-        bitems = list(b.items())
         for m1, c1 in a.items():
-            if not m1:
-                for m2, c2 in bitems:
-                    nc = get(m2, 0) + c1 * c2
-                    if nc:
-                        out[m2] = nc
-                    elif m2 in out:
-                        del out[m2]
-            else:
-                for m2, c2 in bitems:
-                    mm = _mono_mul(m1, m2)
-                    nc = get(mm, 0) + c1 * c2
-                    if nc:
-                        out[mm] = nc
-                    elif mm in out:
-                        del out[mm]
+            for m2, c2 in b.items():
+                mm = _mono_mul(m1, m2)
+                nc = get(mm, 0) + c1 * c2
+                if nc:
+                    out[mm] = nc
+                else:
+                    del out[mm]
         return _poly(out)
 
     __rmul__ = __mul__
@@ -355,11 +338,6 @@ class Poly:
             for code, _ in m:
                 codes.add(code)
         return {_code_to_var(c) for c in codes}
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in m) for m in self.terms)
 
     def __str__(self) -> str:
         return poly_to_str(self)
@@ -597,6 +575,26 @@ class _Layout:
             acc = {m: c for m, c in out.items() if c}
         return acc
 
+    def expand_orbits(self, terms: dict) -> dict:
+        """Packed ``terms`` in the orbit letters z_i = y_i + yb_i, one per
+        field, read in the y-letters: each z_i^k expands binomially as
+        sum_j C(k, j) * y_i^(k - 2j), with y_i^(-e) meaning yb_i^e.
+
+        For a paired layout whose every field is an inverse pair's, holding
+        bar-free ints; the expansion keeps every net exponent, and the net
+        degree, within the z-degree, so the layout's bound still holds.
+        """
+        for code, sh in self.shifts:
+            u = self.unit[code]
+            out: dict = {}
+            for v, c in terms.items():
+                k = (((v + self.bias) >> sh) & self.field) - self.half
+                for j in range(k + 1):
+                    w = v - 2 * j * u
+                    out[w] = out.get(w, 0) + c * comb(k, j)
+            terms = out
+        return terms
+
     def to_poly(self, terms: dict, offset: int = 0) -> Poly:
         """Unpack every term with a nonzero coefficient, each monomial
         first multiplied by the packed ``offset``.  Monomials share their
@@ -777,6 +775,23 @@ def poly_exact_div_inverses_many(p: Poly, divisors) -> Poly:
     the fold of ``poly_exact_div_inverses`` over the divisors, from p
     (which is returned as it is when there are none)."""
     return reduce(poly_exact_div_inverses, divisors, p)
+
+
+def _sum_of_split_products(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
+    """The sum of x * a over the pairs (x, a), where every letter of x
+    sorts before every letter of a (x-letters before a-letters), so each
+    product monomial is the concatenation of the two.
+
+    The emission of the ratio routes' sum_E chi_E(x) * c_E(a)
+    (``characters._ratio_character``).
+    """
+    out: dict = {}
+    for x, a in pairs:
+        for ma, ca in a.terms.items():
+            for mx, cx in x.terms.items():
+                m = mx + ma
+                out[m] = out.get(m, 0) + cx * ca
+    return _poly(_strip(out))
 
 
 def poly_halve(p: Poly) -> Poly:

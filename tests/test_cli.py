@@ -358,6 +358,26 @@ def test_verify_detects_injected_weight_fault(capsys, monkeypatch):
     assert lines[-1].endswith("checks failed")
 
 
+def test_verify_detects_a_skewed_so_even_plus_weight(capsys, monkeypatch):
+    """Negative control: a shifted weight index for so(2n)+ alone must
+    fail the so-even decomposition and leave o(2n)'s routes agreeing."""
+    true_weight = flc.tableaux._cell_weight
+
+    def skewed(e, i, j, group, n):
+        if group is Group.SO_EVEN_PLUS and not e.is_zero():
+            return px(e.k) + pa(e.k + j - i + 1)
+        return true_weight(e, i, j, group, n)
+
+    monkeypatch.setattr(flc.tableaux, "_cell_weight", skewed)
+    code, out, _ = run_cli(
+        capsys, "verify", "--groups", "o-even", "--max-rank", "2", "--max-part", "1"
+    )
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert "FAIL so-even-decomposition" in lines
+    assert "PASS route-agreement[o-even]" in lines
+
+
 @pytest.mark.usefixtures("flipped_own_pair_factor")
 def test_verify_detects_a_flipped_denominator_binomial(capsys):
     """Negative control: a denominator that differs from its binomial

@@ -84,9 +84,16 @@ def test_sum_is_left_fold_of_add(ps):
     assert all(got.terms.values())  # no zero coefficient is kept
 
 
+# Products that cancel, with the constant monomial in the shorter operand,
+# in the longer one or in both, and a left operand longer than the right.
 @given(polys(), polys())
+@example(1 + x1, 1 - x1)
+@example(1 + x1 * xb1, 1 - x1 * xb1)  # the free ring: x1*xb1 is a monomial
+@example(x1 - x1 * x1 + x2, 1 + x1)
+@example(1 - x1 + x2, x1 + x1 * x1)
 def test_mul_commutative(p, q):
     assert p * q == q * p
+    assert all((p * q).terms.values())  # no zero coefficient is kept
 
 
 @settings(max_examples=50)
@@ -103,6 +110,10 @@ def test_mul_identity_and_zero(p):
 
 @settings(max_examples=50)
 @given(polys(), polys(), polys())
+@example(1 + x1, ONE, -x1)
+@example(1 + x1 * xb1, ONE, -x1 * xb1)
+@example(x1 - x1 * x1 + x2, ONE, x1)
+@example(1 - x1 + x2, x1, x1 * x1)
 def test_distributive(p, q, r):
     assert p * (q + r) == p * q + p * r
 
