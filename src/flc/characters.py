@@ -19,8 +19,13 @@ alphabet a_1, a_2, ...  It can be computed as
   basis group, n, E) and cached (``_weyl_quotient``), or
 * a flagged Jacobi-Trudi determinant of h functions (``char_jacobi_trudi``),
   which involves no division at all.  Its matrix is not row-separable
-  (the flagged h of row i spans pairs i..n), so it takes no Cauchy-Binet
-  split: ``polyring._det_cofactor`` hands the matrix itself to the
+  (the flagged h of row i spans pairs i..n), but the a-letters of column
+  j are a_1..a_N in every row, N = n + lambda_j - j, so it splits over
+  them instead: F = P * Q with P the a-free flagged series coefficients
+  and Q the elementary symmetric functions of the a's.  By Cauchy-Binet
+  the character is sum_S c_S(a) * chi_S(x), with chi_S = det P[:, S] a
+  flagged a-free determinant cached per (group, n, block size,
+  lambda_1), not an alternant quotient; both sets of minors run on the
   Laplace expansion that the ratio routes' minors run on.
 
 Groups: GL (general linear), SP (symplectic), OO (odd orthogonal), EO
@@ -58,7 +63,7 @@ from functools import lru_cache
 from itertools import combinations, product, zip_longest
 from typing import Callable, Iterable, List, Optional, Sequence
 
-from .hfuncs import _CACHE_SIZE, HKind, VarSpec, factorial_power, h
+from .hfuncs import _CACHE_SIZE, HKind, VarSpec, _a_free_series, _elementary, factorial_power, h
 from .polyring import (
     ONE,
     Poly,
@@ -69,7 +74,6 @@ from .polyring import (
     X,
     XB,
     eval_integer,
-    _det_cofactor,
     _det_separable,
     _divide_packed,
     _row_bound,
@@ -464,6 +468,60 @@ def char_alternant(spec: CharSpec) -> Poly:
     return _ratio_character(spec, "alternant", _RATIO_GROUPS)
 
 
+def _jt_alphabet(n: int, part: int, j: int) -> int:
+    """N = n + lambda_j - j, the length of the a-alphabet in column j of
+    the Jacobi-Trudi matrix: entry (i, j) is h_m over the n - i + 1 pairs
+    (GL: letters) i..n with m = lambda_j - j + i, whose a-loop runs over
+    a_1..a_(n-i+1+m-1), the same letters in every row."""
+    return n + part - j
+
+
+def _unpacked_minors(rows: list) -> dict:
+    """The nonzero maximal minors of a matrix whose rows map column keys
+    to Poly entries, keyed by ascending tuples of column keys: formed by
+    ``_maximal_minors`` on one paired layout bounded by the row sums
+    (``_row_bound``), so each comes out reduced, and unpacked."""
+    codes: set = set()
+    layout = _Layout(codes, _row_bound([row.values() for row in rows], codes), paired=True)
+    packed = [{p: layout.pack_terms(f) for p, f in row.items()} for row in rows]
+    return {cols: layout.to_poly(m) for cols, m in _maximal_minors(packed, layout).items()}
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _flagged_minors(kind: HKind, n: int, k: int, part: int) -> dict:
+    """chi_S = det P[:, S] for the a-free flagged matrix
+    P[i][p] = h0_(p+i)(pairs i..n), i = 1..k, p = -k..part - 1, with h0
+    the a-free series coefficient (``hfuncs._a_free_series``).
+
+    They depend on lambda only through k and part = lambda_1, so they are
+    cached on (kind, n, k, lambda_1) and shared by every shape with that
+    leading block size and first part.
+    """
+    rows = []
+    for i in range(1, k + 1):
+        series = _a_free_series(_flag_spec(kind, i, n), part - 1 + i)
+        rows.append({q - i: f for q, f in enumerate(series) if f})
+    return _unpacked_minors(rows)
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _coefficient_minors(columns: tuple) -> dict:
+    """c_S = det Q[S, :] for the x-free matrix
+    Q[p][j] = e_(top_j - p)(a_1..a_(N_j)), p = -k..top_j, from the
+    block's columns as pairs (top_j, N_j) = (lambda_j - j, N), k of them.
+
+    They hold no group, so every JT group of one rank and shape shares
+    them; the key holds each N, so a change of alphabet is never served
+    from the cache.
+    """
+    k = len(columns)
+    rows = []
+    for top, length in columns:
+        e = _elementary(length)
+        rows.append({p: e[top - p] for p in range(-k, top + 1) if top - p <= length})
+    return _unpacked_minors(rows)
+
+
 def char_jacobi_trudi(spec: CharSpec) -> Poly:
     """Character as a flagged Jacobi-Trudi determinant |h_{lambda_j - j + i}|.
 
@@ -474,19 +532,39 @@ def char_jacobi_trudi(spec: CharSpec) -> Poly:
     a zero part's column j holds h_{i-j}, which is 0 above the diagonal
     and h_0 = 1 on it, so the matrix is block lower triangular with that
     block and a unitriangular one on its diagonal.  EO_DIFF's h_0 is 0,
-    so it keeps the whole n x n matrix, and lambda_n = 0 gives 0 by
-    computation.
+    so it keeps the whole n x n matrix.
+
+    The a-letters enter entry (i, j) only through the a-loop over
+    a_1..a_N, N = n + lambda_j - j (``_jt_alphabet``), the same in every
+    row, so h_m = sum_r e_r(a_1..a_N) * h0_(m-r) and the block factors as
+    F = P * Q with P[i][p] = h0_(p+i)(flag_i), a-free, and
+    Q[p][j] = e_(lambda_j-j-p)(a_1..a_N), x-free, p = -k..lambda_1 - 1
+    (P's columns below -k are zero).  By Cauchy-Binet
+
+        det F = sum_S det P[:, S] * det Q[S, :],
+
+    with chi_S = det P[:, S] cached per (kind, n, k, lambda_1)
+    (``_flagged_minors``) and c_S = det Q[S, :], the maximal minors of
+    Q^T, cached per column alphabet (``_coefficient_minors``), and the
+    sum_S chi_S(x) * c_S(a) emitted by concatenating monomials
+    (``polyring._sum_of_split_products``).  Every entry of F is an
+    identity of series, so the split is exact.  The one exception, EO's
+    one-pair h_0 = 1 where the series gives 2, is entry (n, n) when
+    lambda_n = 0, which is never in the block.  EO_DIFF with
+    lambda_n = 0 gives 0 by computation: its column p = -n of P is
+    h0_0 = 0, and Q's last column is nonzero only there.  lambda = 0
+    gives the empty determinant, 1.
     """
     kind = _JT_KIND.get(spec.group)
     if kind is None:
         raise ValueError(f"no Jacobi-Trudi determinant for group {spec.group}")
     n, lam = spec.rank, spec.lam
     k = n if kind is HKind.EOD else partition_length(lam)
-    rows = []
-    for i in range(1, k + 1):
-        vs = _flag_spec(kind, i, n)
-        rows.append([h(vs, lam[j - 1] - j + i) for j in range(1, k + 1)])
-    return _det_cofactor(rows, paired=True)
+    columns = tuple((lam[j - 1] - j, _jt_alphabet(n, lam[j - 1], j)) for j in range(1, k + 1))
+    chis = _flagged_minors(kind, n, k, lam[0])
+    return _sum_of_split_products(
+        (chis[cols], c) for cols, c in _coefficient_minors(columns).items() if cols in chis
+    )
 
 
 def char_raw_diff(n: int, lam_parts: Iterable[int]) -> Poly:

@@ -14,8 +14,8 @@ multiplied in every case by prod_{j=1}^{L+m-1} (1 + t*a_{j+shift}), where
 L is the number of listed variables (GL) or pairs (the rest).  A shifted
 a-index <= 0 stands for the zero value, so its factor degenerates to 1.
 
-``h`` keeps the coefficients c_0..c_m of the product in one list.  It
-starts from a seed and multiplies in one factor at a time, in place:
+The coefficients c_0..c_m of the product are kept in one list, built
+from a seed by multiplying in one factor at a time, in place:
 
     seed             c = 1, or 1 + t (OO), or 1 - t^2 (EO, two or more
                      pairs), or c_k = x_1^k +/- xb_1^k for the
@@ -26,6 +26,14 @@ starts from a seed and multiplies in one factor at a time, in place:
 
 Ascending, c_{k-1} already holds the new coefficient, which sums the
 geometric tail; descending, it still holds the old one.
+
+The builder has two pieces.  ``_a_free_series`` is the seed and the
+geometric loop, cached; ``_a_loop`` multiplies in the a-factors.  ``h``
+runs the a-loop on a copy of the series, so
+h_m = sum_k e_k(a_{1+shift}..a_{L+m-1+shift}) * h0_{m-k}, with h0 the
+a-free coefficient; ``_elementary`` is the a-loop on the seed [1], the
+e_k themselves.  The Jacobi-Trudi route takes both pieces apart
+(``characters.char_jacobi_trudi``).
 
 ``flc.series`` builds the same products as truncated series and is the
 reference h is tested against.
@@ -70,9 +78,10 @@ __all__ = [
 
 # Bound of every lru_cache here and in characters.  The default
 # ``flc verify`` fills at most 223 entries of any of them (``_weyl_quotient``;
-# ``h`` 166), and one pass over a rank <= 3 grid of the ratio or
-# division-free routes at most 114, so the bound only keeps a
-# long-running process that visits many shapes from growing without limit.
+# ``h`` 140, ``_a_free_series`` 122, ``_flagged_minors`` 81), and one pass
+# over a rank <= 3 grid of the ratio or division-free routes at most 114,
+# so the bound only keeps a long-running process that visits many shapes
+# from growing without limit.
 _CACHE_SIZE = 4096
 
 
@@ -144,17 +153,15 @@ def factorial_power(v, m: int, shift: int = 0) -> Poly:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def h(spec: VarSpec, m: int) -> Poly:
-    """The factorial h_m for the given variable spec."""
+def _a_free_series(spec: VarSpec, m: int) -> tuple:
+    """c_0..c_m of the a-free series of ``spec``: the seed times the
+    geometric factors, each coefficient reduced modulo the pairing.
+
+    The a-letters and ``spec.shift`` do not enter it.  The one-pair EO
+    series keeps c_0 = 2 and EOD's c_0 is 0; ``h`` applies their
+    conventions.  Cached: the coefficient tuple is shared, never changed.
+    """
     kind = spec.kind
-    if kind is HKind.EOD:
-        if m <= 0:
-            return ZERO
-    else:
-        if m < 0:
-            return ZERO
-        if m == 0:
-            return ONE
     pairs = spec.pairs
     if kind is HKind.EOD or (kind is HKind.EO and len(pairs) == 1):
         # The distinguished pair's two geometric series, added (EO) or
@@ -176,15 +183,47 @@ def h(spec: VarSpec, m: int) -> Poly:
     for v in geometric:
         for k in range(1, m + 1):
             c[k] = c[k] + v * c[k - 1]
-    for j in range(1, spec.width() + m):
-        aj = pa(j + spec.shift)
-        if aj:
-            for k in range(m, 0, -1):
-                c[k] = c[k] + aj * c[k - 1]
     # Values are normalised so that matched x_i*xb_i (reciprocal) pairs
     # never survive in a monomial; every consumer compares h's, and the
     # determinant/recurrence identities they enter hold modulo that pairing.
-    return poly_reduce_inverses(c[m])
+    return tuple(poly_reduce_inverses(f) for f in c)
+
+
+def _a_loop(c: list, length: int, shift: int = 0) -> list:
+    """Multiply the coefficients c_0..c_m in place by
+    prod_{j=1}^{length} (1 + t*a_{j+shift}), truncated at t^m, and return c.
+
+    It adds no x-letter, so reduced coefficients stay reduced.  On the
+    seed [1, 0, ..., 0] it gives e_0..e_m of the a-letters.
+    """
+    for j in range(1, length + 1):
+        aj = pa(j + shift)
+        if aj:
+            for k in range(len(c) - 1, 0, -1):
+                c[k] = c[k] + aj * c[k - 1]
+    return c
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _elementary(length: int) -> tuple:
+    """e_0..e_length of a_1..a_length, by the a-loop on the seed [1]."""
+    return tuple(_a_loop([ONE] + [ZERO] * length, length))
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def h(spec: VarSpec, m: int) -> Poly:
+    """The factorial h_m for the given variable spec: the a-loop over
+    a_{1+shift}..a_{L+m-1+shift} run on the a-free series."""
+    kind = spec.kind
+    if kind is HKind.EOD:
+        if m <= 0:
+            return ZERO
+    else:
+        if m < 0:
+            return ZERO
+        if m == 0:
+            return ONE
+    return _a_loop(list(_a_free_series(spec, m)), spec.width() + m - 1, spec.shift)[m]
 
 
 def h_closed_one_pair(kind: HKind, i: int, m: int, shift: int = 0) -> Poly:

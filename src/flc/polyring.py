@@ -449,13 +449,14 @@ class _Layout:
         x_i*xb_i cancels inside the add that multiplies two monomials.
         Packing adds colliding terms, so packing is the reduction of
         ``poly_reduce_inverses``, and every product and sum formed on the
-        ints is already reduced.  Every determinant's minors
-        (``_maximal_minors``) use it, for Jacobi-Trudi through
-        ``_det_cofactor(rows, paired=True)`` and for the ratio routes
+        ints is already reduced.  Every route's minors
+        (``_maximal_minors``) use it: Jacobi-Trudi's for its two
+        factors (``characters._unpacked_minors``), the ratio routes'
         through their packed tables (``_separable_table``) and
         ``_det_separable``; so do the Weyl quotients
-        (``_weyl_quotient``), ``group_tableau_sum`` and
-        ``poly_exact_div_inverses``.
+        (``_weyl_quotient``), ``group_tableau_sum``,
+        ``poly_exact_div_inverses`` and ``_det_cofactor(rows,
+        paired=True)``, which the tests hold route determinants to.
 
     Every field is ``degree.bit_length() + 1`` bits wide.  A monomial is
     the int sum of e_k * 2^(shift of field k), with a signed digit e_k in
@@ -783,7 +784,8 @@ def _sum_of_split_products(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     product monomial is the concatenation of the two.
 
     The emission of the ratio routes' sum_E chi_E(x) * c_E(a)
-    (``characters._ratio_character``).
+    (``characters._ratio_character``) and of Jacobi-Trudi's
+    sum_S chi_S(x) * c_S(a) (``characters.char_jacobi_trudi``).
     """
     out: dict = {}
     for x, a in pairs:
@@ -877,8 +879,10 @@ def _maximal_minors(rows: Sequence[Mapping[int, dict]], layout: _Layout) -> dict
 
     The ratio routes pass a coefficient table, whose rows are its columns
     C[j] keyed by exponent (``_det_separable``, ``_ratio_character``);
-    ``_det_cofactor`` passes a square matrix keyed by column index, whose
-    one maximal minor is its determinant.
+    Jacobi-Trudi passes the rows of its factors P and Q^T keyed by their
+    inner index (``characters._unpacked_minors``); ``_det_cofactor``
+    passes a square matrix keyed by column index, whose one maximal minor
+    is its determinant.
     """
     minors: dict = {(): {0: 1}}
     for j, row in enumerate(rows):
@@ -956,8 +960,9 @@ def _det_cofactor(rows: Sequence[Sequence[Poly]], paired: bool = False) -> Poly:
 
     ``paired`` selects the paired layout (see ``_Layout``): the
     determinant then comes out reduced modulo x_i*xb_i = 1 and
-    s_i*sb_i = 1, as ``char_jacobi_trudi`` needs it; ``poly_determinant``
-    keeps the free ring's formal layout.
+    s_i*sb_i = 1, the form the tests compare the routes' determinants
+    in; ``poly_determinant``, the one caller in the library, keeps the
+    free ring's formal layout.
     """
     layout, packed = _Layout.for_products(rows, paired)
     minors = _maximal_minors([{j: f for j, f in enumerate(row) if f} for row in packed], layout)

@@ -11,8 +11,10 @@ import flc.characters
 from flc.characters import (
     CharSpec,
     Group,
+    _JT_KIND,
     _denominator_factors,
     _denominator_info,
+    _flag_spec,
     _weyl_quotient,
     _z_basis,
     _z_divisors,
@@ -30,7 +32,7 @@ from flc.characters import (
     weyl_denominator_product,
     zero_a,
 )
-from flc.hfuncs import _CACHE_SIZE, factorial_power
+from flc.hfuncs import _CACHE_SIZE, factorial_power, h
 from flc.tableaux import group_tableau_sum, tableau_sum
 from flc.polyring import (
     ONE,
@@ -135,6 +137,32 @@ def test_one_row_characters_are_h_functions():
     assert char_jacobi_trudi(char_spec(Group.SP, 2, [3])) == h(
         VarSpec(HKind.SP, pairs=(1, 2)), 3
     )
+
+
+_JT_GROUPS = BASE_GROUPS + (Group.EO_DIFF,)
+
+
+def _jacobi_trudi_by_laplace(group, n, lam):
+    """The whole n x n flagged matrix of h values, h_{lambda_j - j + i}
+    over pairs (GL: letters) i..n, expanded by cofactors as it stands."""
+    kind = _JT_KIND[group]
+    rows = [
+        [h(_flag_spec(kind, i, n), lam[j - 1] - j + i) for j in range(1, n + 1)]
+        for i in range(1, n + 1)
+    ]
+    return _det_cofactor(rows, paired=True)
+
+
+@pytest.mark.parametrize("group", _JT_GROUPS, ids=lambda g: g.value)
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_jacobi_trudi_by_cauchy_binet_equals_the_laplace_expansion(group, n):
+    """Sum_S c_S(a) * chi_S(x) over the a-letters equals the cofactor
+    expansion of the whole h matrix, on every shape with n <= 3 and
+    parts <= 3 (zero parts and EO_DIFF's vanishing lambda_n = 0 included)
+    and on lambda = (1,1,1,1)."""
+    for lam in shapes(n, 3) if n < 4 else [(1, 1, 1, 1)]:
+        want = _jacobi_trudi_by_laplace(group, n, lam)
+        assert char_jacobi_trudi(char_spec(group, n, lam)) == want, lam
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +625,7 @@ _ORACLES = {
 
 
 @pytest.mark.parametrize("group", list(_ORACLES))
-@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_dimension_matches_weyl_formula(group, n):
     for lam in shapes(n, 2):
         want = _ORACLES[group](n, lam)

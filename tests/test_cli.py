@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import flc.characters
 import flc.tableaux
 from flc.characters import Group, char_jacobi_trudi, char_spec
 from flc.cli import main
@@ -355,6 +356,22 @@ def test_verify_detects_injected_weight_fault(capsys, monkeypatch):
     assert code == 2
     lines = out.strip().splitlines()
     assert "FAIL route-agreement[gl]" in lines
+    assert lines[-1].endswith("checks failed")
+
+
+def test_verify_detects_a_lengthened_jacobi_trudi_alphabet(capsys, monkeypatch):
+    """Negative control: a-letters a_1..a_(N+1) in place of a_1..a_N in
+    Jacobi-Trudi's factor Q must trip route agreement."""
+    true_length = flc.characters._jt_alphabet
+    monkeypatch.setattr(
+        flc.characters, "_jt_alphabet", lambda n, part, j: true_length(n, part, j) + 1
+    )
+    code, out, _ = run_cli(
+        capsys, "verify", "--groups", "sp", "--max-rank", "2", "--max-part", "1"
+    )
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert "FAIL route-agreement[sp]" in lines
     assert lines[-1].endswith("checks failed")
 
 

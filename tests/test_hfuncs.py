@@ -1,9 +1,22 @@
 """Factorial h-functions: degenerate values, closed forms, explicit
 expansions, recurrences, symmetries and cross-kind reduction identities."""
 
+from itertools import combinations
+
 import pytest
 
-from flc.hfuncs import HKind, VarSpec, explicit_h, factorial_power, gl_vars, h, h_closed_one_pair
+from flc.characters import _flag_spec
+from flc.hfuncs import (
+    HKind,
+    VarSpec,
+    _a_free_series,
+    _elementary,
+    explicit_h,
+    factorial_power,
+    gl_vars,
+    h,
+    h_closed_one_pair,
+)
 from flc.polyring import (
     ONE,
     X,
@@ -12,6 +25,7 @@ from flc.polyring import (
     pa,
     poly_reduce_inverses,
     poly_substitute,
+    poly_sum,
     poly_var,
     px,
     pxb,
@@ -184,6 +198,45 @@ def test_h_equals_series_product(kind, width, shift):
         spec = VarSpec(kind, pairs=_FLAGS[width - 1], shift=shift)
     for m in range(-1, 10 - width):  # up to m = 7 on two pairs, 5 on four
         assert h(spec, m) == _series_h(spec, m), m
+
+
+# ---------------------------------------------------------------------------
+# the two pieces of the builder: a-free series and a-loop
+
+
+def _e(k, length):
+    """e_k(a_1..a_length), summed over the k-subsets of the letters."""
+    terms = []
+    for subset in combinations(range(1, length + 1), k):
+        term = ONE
+        for j in subset:
+            term = term * pa(j)
+        terms.append(term)
+    return poly_sum(terms)
+
+
+@pytest.mark.parametrize("length", range(6))
+def test_elementary_is_the_a_loop_on_one(length):
+    assert _elementary(length) == tuple(_e(k, length) for k in range(length + 1))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("m", range(-1, 6))
+def test_h_is_the_elementary_convolution_of_the_a_free_series(kind, m):
+    """h_m = sum_k e_k(a_1..a_N) * h0_(m-k), N = width + m - 1, on every
+    flag spec pairs (GL: letters) lo..n with n <= 3: the identity the
+    Jacobi-Trudi route factors by.  The one exception is the one-pair EO
+    series at m = 0, whose c_0 is 2 where h_0 is 1."""
+    for n in (1, 2, 3):
+        for lo in range(1, n + 1):
+            spec = _flag_spec(kind, lo, n)
+            series = _a_free_series(spec, max(m, 0))
+            length = spec.width() + m - 1
+            want = poly_sum(_e(k, length) * series[m - k] for k in range(m + 1))
+            if kind is HKind.EO and spec.width() == 1 and m == 0:
+                assert want == 2
+                want = ONE
+            assert h(spec, m) == want, (lo, n)
 
 
 # ---------------------------------------------------------------------------
