@@ -71,15 +71,14 @@ from .polyring import (
     _maximal_minors,
     _separable_table,
     _sum_of_split_products,
+    _a_free_part,
     X,
     XB,
-    eval_integer,
     _det_separable,
     _divide_packed,
     _row_bound,
     poly_halve,
     poly_reduce_inverses,
-    poly_substitute,
     poly_sum,
     px,
     pxb,
@@ -614,8 +613,8 @@ def char_raw_so_even(spec: CharSpec) -> Poly:
 
 
 def zero_a(p: Poly) -> Poly:
-    """Set every a-variable to zero."""
-    return poly_substitute(p, {v: 0 for v in p.variables() if v.kind == "a"})
+    """Set every a-variable to zero: keep the terms that hold no a-letter."""
+    return _a_free_part(p)
 
 
 def character(spec: CharSpec) -> Poly:
@@ -626,6 +625,6 @@ def character(spec: CharSpec) -> Poly:
 
 
 def dimension(spec: CharSpec) -> int:
-    """Character evaluated at a = 0 and every letter = 1."""
-    p = zero_a(character(spec))
-    return eval_integer(p, {v: 1 for v in p.variables()})
+    """Character evaluated at a = 0 and every letter = 1: the sum of the
+    coefficients of its a-free terms."""
+    return sum(zero_a(character(spec)).terms.values())

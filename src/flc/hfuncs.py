@@ -78,7 +78,7 @@ __all__ = [
 
 # Bound of every lru_cache here and in characters.  The default
 # ``flc verify`` fills at most 223 entries of any of them (``_weyl_quotient``;
-# ``h`` 140, ``_a_free_series`` 122, ``_flagged_minors`` 81), and one pass
+# ``h`` 140, ``_a_free_series`` 122, ``_flagged_minors`` 93), and one pass
 # over a rank <= 3 grid of the ratio or division-free routes at most 114,
 # so the bound only keeps a long-running process that visits many shapes
 # from growing without limit.

@@ -6,12 +6,15 @@ Path i of an n-tuple runs from P_i = (i, n-i+1) to Q_{sigma(i)} =
 (n, n-sigma(i)+1+lambda_{sigma(i)}); a horizontal step into (k, l)
 carries the weight x_k + a_{k+l-n-1} (with a_m = 0 for m <= 0).
 
-Summing sign(sigma) times the product of path weights over every tuple
-for every permutation reproduces the gl Jacobi-Trudi determinant; the
-surviving non-intersecting identity tuples correspond one-to-one with
-the gl tableaux, preserving weights.  This module exists as a test
-oracle independent of both determinant evaluation and tableau
-enumeration.
+The signed sum of the tuple weights over every permutation reproduces
+the gl Jacobi-Trudi determinant.  ``lgv_signed_sum`` takes it regrouped
+by distributivity: the path weights are summed once per endpoint pair
+into W[i][j], and the Leibniz sum over sigma of sign(sigma) times
+W[1][sigma(1)]...W[n][sigma(n)] is the sum over every tuple.  The
+surviving non-intersecting identity tuples (``enumerate_gl_tuples``)
+correspond one-to-one with the gl tableaux, preserving weights.  This
+module exists as a test oracle independent of the routes' determinant
+engines and of tableau enumeration.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import combinations, permutations, product
 from typing import Iterable, List, Sequence, Tuple
 
 from .characters import make_partition
-from .polyring import ONE, ZERO, Poly, pa, px
+from .polyring import ONE, ZERO, Poly, pa, poly_sum, px
 from .tableaux import Entry, Tableau
 
 __all__ = [
@@ -117,17 +120,18 @@ def _perm_sign(sigma: Sequence[int]) -> int:
 
 
 def lgv_signed_sum(n: int, lam_parts: Iterable[int]) -> Poly:
-    """Sum of sign(sigma) * path-weight products over all tuples; equals
-    the gl Jacobi-Trudi character."""
+    """Sum of sign(sigma) * path-weight products over all tuples, by the
+    Leibniz sum of the endpoint-pair path sums; equals the gl
+    Jacobi-Trudi character."""
     lam = make_partition(lam_parts, n)
+    ends = range(1, n + 1)
+    w = [[poly_sum(p.weight() for p in _paths_between(n, i, j, lam)) for j in ends] for i in ends]
     total = ZERO
-    for sigma in permutations(range(1, n + 1)):
-        sign = _perm_sign(sigma)
-        for tup in enumerate_gl_tuples(n, lam, sigma):
-            w = ONE
-            for path in tup:
-                w = w * path.weight()
-            total = total + sign * w
+    for sigma in permutations(range(n)):
+        term = ONE
+        for i, j in enumerate(sigma):
+            term = term * w[i][j]
+        total = total + _perm_sign(sigma) * term
     return total
 
 

@@ -796,6 +796,12 @@ def _sum_of_split_products(pairs: Iterable[Tuple[Poly, Poly]]) -> Poly:
     return _poly(_strip(out))
 
 
+def _a_free_part(p: Poly) -> Poly:
+    """The terms of p that hold no a-letter: p at a = 0.  A monomial holds
+    one exactly when its last code, the largest, is an a-code."""
+    return _poly({m: c for m, c in p.terms.items() if not m or m[-1][0] < _A_NEG_LOW})
+
+
 def poly_halve(p: Poly) -> Poly:
     """Divide every coefficient by 2 exactly; an odd one raises
     OddCoefficient."""

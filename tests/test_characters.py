@@ -6,6 +6,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 import pytest
+from hypothesis import example, given
 
 import flc.characters
 from flc.characters import (
@@ -35,6 +36,7 @@ from flc.characters import (
 from flc.hfuncs import _CACHE_SIZE, factorial_power, h
 from flc.tableaux import group_tableau_sum, tableau_sum
 from flc.polyring import (
+    A,
     ONE,
     DivisionNotExact,
     X,
@@ -59,7 +61,7 @@ from flc.polyring import (
 )
 
 import oracles
-from conftest import _leibniz
+from conftest import _leibniz, polys
 
 red = poly_reduce_inverses
 
@@ -625,11 +627,19 @@ _ORACLES = {
 
 
 @pytest.mark.parametrize("group", list(_ORACLES))
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
 def test_dimension_matches_weyl_formula(group, n):
     for lam in shapes(n, 2):
         want = _ORACLES[group](n, lam)
         assert dimension(char_spec(group, n, lam)) == want, (group, lam)
+
+
+@given(polys())
+@example(ONE * 3)
+@example(pa(1) * pa(2) * pa(2))
+@example(px(1) * pa(2))
+def test_zero_a_is_substituting_zero_for_every_a(p):
+    assert zero_a(p) == poly_substitute(p, {A(1): 0, A(2): 0})
 
 
 def test_dimension_pinned_values():

@@ -9,10 +9,11 @@ import sys
 import pytest
 
 import flc.characters
+import flc.latticepaths
 import flc.tableaux
 from flc.characters import Group, char_jacobi_trudi, char_spec
 from flc.cli import main
-from flc.polyring import pa, poly_from_json, px, pxb
+from flc.polyring import ONE, pa, poly_from_json, px, pxb
 
 
 def run_cli(capsys, *argv):
@@ -234,6 +235,7 @@ def test_cli_output_digest(capsys, command, group):
         ("so-odd", "2", "1", "5"),
         ("o-even", "2", "1", "4"),
         ("gl", "3", "1", "3"),
+        ("so-odd", "4", "3,3,3,3", "28314"),
     ],
 )
 def test_dim_examples(capsys, group, rank, lam, expected):
@@ -357,6 +359,32 @@ def test_verify_detects_injected_weight_fault(capsys, monkeypatch):
     lines = out.strip().splitlines()
     assert "FAIL route-agreement[gl]" in lines
     assert lines[-1].endswith("checks failed")
+
+
+def test_verify_detects_a_shifted_lattice_path_weight(capsys, monkeypatch):
+    """Negative control: a horizontal step into (r, c) weighted
+    x_r + a_{r+c-n} in place of x_r + a_{r+c-n-1} must fail the lattice
+    path check and leave the routes agreeing."""
+
+    def shifted(path):
+        w = ONE
+        r, c = path.start
+        for s in path.steps:
+            if s == "H":
+                c += 1
+                w = w * (px(r) + pa(r + c - path.n))
+            else:
+                r += 1
+        return w
+
+    monkeypatch.setattr(flc.latticepaths.LatticePath, "weight", shifted)
+    code, out, _ = run_cli(
+        capsys, "verify", "--groups", "gl", "--max-rank", "2", "--max-part", "1"
+    )
+    assert code == 2
+    lines = out.strip().splitlines()
+    assert "FAIL lgv[gl]" in lines
+    assert "PASS route-agreement[gl]" in lines
 
 
 def test_verify_detects_a_lengthened_jacobi_trudi_alphabet(capsys, monkeypatch):

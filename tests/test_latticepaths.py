@@ -1,10 +1,13 @@
-"""Lattice-path tuples: signed sums against the Jacobi-Trudi route and
-the weight-preserving bijection with gl tableaux."""
+"""Lattice-path tuples: signed sums against the literal tuple sum and
+the Jacobi-Trudi route, the weight-preserving bijection with gl tableaux,
+and the oracle's independence of the routes' engines."""
 
-from itertools import permutations
+import ast
+from itertools import combinations, permutations
 
 import pytest
 
+import flc.latticepaths
 from flc.characters import Group, char_jacobi_trudi, char_spec, shapes
 from flc.latticepaths import (
     IntersectingTuple,
@@ -13,7 +16,7 @@ from flc.latticepaths import (
     lgv_signed_sum,
     tuple_to_tableau,
 )
-from flc.polyring import ONE, pa, poly_to_str, px
+from flc.polyring import ONE, ZERO, pa, poly_to_str, px
 from flc.tableaux import Entry, Tableau, enumerate_tableaux, weight
 
 E = Entry
@@ -113,6 +116,19 @@ def test_signed_sum_empty_shape():
     assert lgv_signed_sum(3, ()) == ONE
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_signed_sum_is_the_literal_tuple_sum(n):
+    """The endpoint-pair regrouping equals sign(sigma) times the weight of
+    every tuple for every permutation, summed one tuple at a time."""
+    for lam in shapes(n, 2):
+        want = ZERO
+        for sigma in permutations(range(1, n + 1)):
+            sign = (-1) ** sum(a > b for a, b in combinations(sigma, 2))
+            for tup in enumerate_gl_tuples(n, lam, sigma):
+                want = want + sign * _tuple_weight(tup)
+        assert lgv_signed_sum(n, lam) == want, lam
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_signed_sum_matches_jacobi_trudi(n):
     for lam in shapes(n, 3):
@@ -206,3 +222,39 @@ def test_worked_example_tuple():
         ["4", "4", "4"],
     ]
     assert _tuple_weight(tup) == weight(t, Group.GL, 4)
+
+
+# ---------------------------------------------------------------------------
+# independence of the routes
+
+
+_ROUTE_ENGINES = {"poly_determinant", "_det_cofactor", "_maximal_minors", "_det_separable"}
+
+
+def _route_names(source):
+    """Every imported or referenced name of ``source`` that is a route
+    (``char_*``) or one of polyring's determinant engines."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return {m for m in names if m.startswith("char_") or m in _ROUTE_ENGINES}
+
+
+def test_oracle_imports_no_route_and_no_determinant_engine():
+    with open(flc.latticepaths.__file__, encoding="utf-8") as f:
+        assert _route_names(f.read()) == set()
+
+
+def test_route_guard_sees_imports_and_attributes():
+    source = (
+        "from .polyring import poly_determinant as det\n"
+        "from . import characters\n"
+        "x = characters.char_jacobi_trudi\n"
+    )
+    assert _route_names(source) == {"poly_determinant", "char_jacobi_trudi"}
