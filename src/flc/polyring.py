@@ -506,8 +506,10 @@ class _Layout:
         self.field = (1 << width) - 1
         self.half = 1 << (width - 1)
         self.bias = sum(self.half << (k * width) for k in fields)
-        # to_poly splits the variable fields into a high and a low half.
-        self.cut = len(codes) // 2 * width
+        # to_poly unpacks the fields above and below ``cut`` apart: the
+        # letter fields and the a-fields, or two halves when all are of one kind.
+        seam = sum(code >= _A_NEG_LOW for code in codes)
+        self.cut = (seam if 0 < seam < len(codes) else len(codes) // 2) * width
         self.high = (1 << (top - self.cut)) - 1
 
     def _digits(self, u: int, shifts) -> Mono:
@@ -599,8 +601,9 @@ class _Layout:
     def to_poly(self, terms: dict, offset: int = 0) -> Poly:
         """Unpack every term with a nonzero coefficient, each monomial
         first multiplied by the packed ``offset``.  Monomials share their
-        halves far more often than they repeat whole, so each half is
-        unpacked once and cached."""
+        letter part and their a-part (a layout's two halves, when it has
+        only one kind of field) far more often than they repeat whole, so
+        each part is unpacked once and cached."""
         cut, high, low = self.cut, self.high, (1 << self.cut) - 1
         digits = self._digits
         above = [f for f in self.shifts if f[1] >= cut]

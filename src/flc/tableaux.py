@@ -33,19 +33,23 @@ rule is local too: a factor of each row that depends only on the first
 letters of that row and of the row above (_coefficient_rules).
 
 group_tableau_sum, behind tableau_sum, diff_tableau_sum,
-so_even_tableau_sum and the flc tableaux sum line, is the one sum engine,
-and it never forms a tableau's weight.  It is a transfer sum over rows:
-S_k(r), the sum of coefficient times weight over the partial tableaux
-whose row k is r, is w_k(r) times the sum of c(r', r) * S_{k-1}(r') over
-the rows r' that may sit above r, and the character is the sum of the
-last level's S.  It runs on packed exponents (polyring._Layout; Monagan
-and Pearce, CASC 2007) in the paired mode, where x_k and xb_k share one
-signed field, so x_k*xb_k cancels inside the adds that multiply
-monomials; the sum comes out in the reduced normal form of every other
-character-level value and is unpacked once.  Each call packs every
-factor _cell_weight gives a cell once, under one layout whose degree
-bound is the sum over cells of the largest factor degree.  Every cell
-factor is linear (x + a, xb + a, 1 - a, or a bare letter when the
+so_even_tableau_sum and the flc tableaux sum line, is the one sum
+engine, and it never forms a tableau's weight.  It is a transfer sum
+over rows (the transfer-matrix method; Stanley, Enumerative
+Combinatorics I, 4.7), taken bottom up: B_k(r), the sum of coefficient
+times weight over the rows k, k+1, ... of the tableaux whose row k is
+r, is w_k(r) times the fan F(r), the sum of c(r, r') * B_{k+1}(r') over
+the rows r' that may sit under r.  Rows share fans, so each is formed
+once per distinct set of (r', c), and the character is the sum, over the
+fans of level 1, of each fan times the sum of c * w_1 over the level-1
+rows that share it.  It runs on packed exponents (polyring._Layout;
+Monagan and Pearce, CASC 2007) in the paired mode, where x_k and xb_k
+share one signed field, so x_k*xb_k cancels inside the adds that
+multiply monomials; the sum comes out in the reduced normal form of
+every other character-level value and is unpacked once.  Each call packs
+every factor _cell_weight gives a cell once, under one layout whose
+degree bound is the sum over cells of the largest factor degree.  Every
+cell factor is linear (x + a, xb + a, 1 - a, or a bare letter when the
 a-index is <= 0), so the bound is at most |lambda|, and no weight or sum
 of weights has a term of higher degree.
 
@@ -407,78 +411,83 @@ def _transfer_sum(
     total: dict,
 ) -> None:
     """Add scale * the packed sum of value * weight over the row graph's
-    tableaux into ``total``.
+    tableaux into ``total``, bottom up.
 
-    S_k(r), the sum over the partial tableaux whose row k is r, is
-    w_k(r) * sum of rule(k, r'[0], r[0]) * S_{k-1}(r') over the rows r'
-    above r.  Each S_{k-1} is popped as it is spread into the level-k
-    accumulators, and each accumulator is popped as it is multiplied by
-    its row's cell factors, one binomial at a time, after dropping the
-    zeros that a signed rule leaves where terms cancel.  The last level
-    has no accumulators: each S of the level above is folded into the
-    total as soon as it is formed, times its fan, the sum of rule * w
-    over the last rows that may sit under it.  So at most one level's
-    sums are alive at once, and of the level above the last only one
-    sum.
+    B_k(r), the sum of value * weight over the rows k, k+1, ... of the
+    tableaux whose row k is r, is w_k(r) * F(r), where the fan F(r) is
+    the sum of rule(k+1, r[0], r'[0]) * B_{k+1}(r') over the rows r' that
+    may sit under r; under the last level sits one virtual row with
+    B = 1.  F(r) depends on r only through its key, the pairs (r', rule
+    value) with the value nonzero, and rows share keys, so each level
+    forms one fan per key and multiplies it by each row's cell factors,
+    one binomial at a time.  At level 1 the rows that share a key are
+    summed first, rule * w_1, and each such sum is multiplied by its fan
+    once, into the total.  Only the rows that a walk from the top reaches
+    through nonzero rule values are formed, and one level's B and fans
+    are alive at once, with the B of the level below.  A fan drops the
+    zeros that a signed rule leaves where terms cancel.
     """
     depth = len(levels)
     if not depth:
         total[0] = total.get(0, 0) + scale
         return
     mul_add = _Layout.mul_add
-    weights: dict = {}  # a last row's weight, formed once: it sits under many rows
+    reached = [[top]]
+    for k in range(1, depth + 1):
+        rows = (r for a in reached[-1] for r, _ in successors(k, a) if rule(k, a[0], r[0]))
+        reached.append(list(dict.fromkeys(rows)))
+    below: dict = {None: {0: 1}}
 
-    def fold(above: tuple, s: dict) -> None:
-        fan: dict = {}
-        get = fan.get
-        for row, _ in successors(depth, above):
-            c = rule(depth, above[0], row[0])
-            if not c:
+    def fan(key: tuple) -> dict:
+        out: dict = {}
+        get = out.get
+        for r, c in key:
+            for m, v in below[r].items():
+                out[m] = get(m, 0) + c * v
+        return {m: v for m, v in out.items() if v} if 0 in out.values() else out
+
+    for k in range(depth, 0, -1):
+        cells = levels[k - 1]
+        fans: dict = {}
+        level: dict = {}
+        for r in reached[k]:
+            if k == depth:
+                key: tuple = ((None, 1),)
+            else:
+                key = tuple(
+                    (u, c) for u, _ in successors(k + 1, r) if (c := rule(k + 1, r[0], u[0]))
+                )
+            if k == 1:
+                acc = level.setdefault(key, {})
+                c = rule(1, top[0], r[0])
+                for m, v in _Layout.product(cell[p] for cell, p in zip(cells, r)).items():
+                    acc[m] = acc.get(m, 0) + c * v
                 continue
-            w = weights.get(row)
-            if w is None:
-                w = weights[row] = _Layout.product(cell[p] for cell, p in zip(levels[-1], row))
-            for m, v in w.items():
-                fan[m] = get(m, 0) + c * v
-        if len(fan) < len(s):
-            mul_add(total, fan, s, scale)
-        else:
-            mul_add(total, s, fan, scale)
-
-    if depth == 1:
-        fold(top, {0: 1})
-    level = {top: {0: 1}}
-    for k, cells in enumerate(levels[:-1], start=1):
-        acc: dict = {}
-        while level:
-            above, s = level.popitem()
-            a = above[0]
-            for row, _ in successors(k, above):
-                c = rule(k, a, row[0])
-                if not c:
-                    continue
-                into = acc.setdefault(row, {})
-                get = into.get
-                for m, v in s.items():
-                    into[m] = get(m, 0) + c * v
-        while acc:
-            row, s = acc.popitem()
-            if 0 in s.values():  # a signed rule cancelled terms
-                s = {m: v for m, v in s.items() if v}
-            for cell, p in zip(cells, row):
+            s = fans.get(key)
+            if s is None:
+                s = fans[key] = fan(key)
+            for cell, p in zip(cells, r):
                 out: dict = {}
                 mul_add(out, cell[p], s)
                 s = out
-            if k == depth - 1:
-                fold(row, s)
-            else:
-                level[row] = s
+            level[r] = s
+        if k > 1:
+            below = level
+    for key, acc in level.items():
+        f = fan(key)
+        if 0 in acc.values():
+            acc = {m: v for m, v in acc.items() if v}
+        if len(f) < len(acc):
+            mul_add(total, f, acc, scale)
+        else:
+            mul_add(total, acc, f, scale)
 
 
 def group_tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
     """The weighted tableau sum of any of the seven groups.
 
-    One transfer sum over the row graph per coefficient rule, on the
+    One bottom-up transfer sum over the row graph per coefficient rule
+    (_transfer_sum), with one product per shared fan at level 1, on the
     paired layout, so the sum comes out reduced and is unpacked once; no
     tableau is enumerated and no tableau's weight is formed.  Raises InvalidShape
     for EO_DIFF with fewer than n nonzero parts; SO_EVEN_PLUS/MINUS with

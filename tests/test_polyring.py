@@ -306,6 +306,37 @@ def test_paired_layout_equals_the_reduced_poly_arithmetic(factors):
     assert layout.to_poly(out) == red(-2 * factors[0] * factors[1])
 
 
+_SEAM_CASES = {
+    "letters-only": x1**2 * xb2 + 3 * xb1 * x2 - x1 * xb1 + ps(1) * psb(2),
+    "a-only": a1**2 * a3 - 2 * a2 + a1,
+    "constant-only": poly_const(5),
+    "mixed": x1 * xb1 * a2 + xb2**3 * a1 - a3 + x1 - 7,
+}
+
+
+@pytest.mark.parametrize("paired", [False, True], ids=["formal", "paired"])
+@pytest.mark.parametrize("name", list(_SEAM_CASES))
+def test_to_poly_round_trips_on_both_sides_of_the_seam(name, paired):
+    """to_poly unpacks the letter fields and the a-fields apart, or a
+    layout's two halves when it has fields of one kind or none: each
+    round trip gives p in a formal layout and p reduced modulo the
+    pairing in a paired one."""
+    p = _SEAM_CASES[name]
+    layout, ((packed,),) = _Layout.for_products([[p]], paired=paired)
+    assert layout.to_poly(packed) == (poly_reduce_inverses(p) if paired else p)
+
+
+def test_to_poly_offset_multiplies_every_monomial():
+    """The nonzero offset of poly_exact_div_inverses: each monomial is
+    multiplied by the packed offset before it is unpacked, across the
+    seam, with net exponents going negative in the pair fields."""
+    p = _SEAM_CASES["mixed"]
+    shift = xb1**2 * x2 * a2
+    layout, ((packed,), (packed_shift,)) = _Layout.for_products([[p], [shift]], paired=True)
+    (offset,) = packed_shift  # the one packed monomial
+    assert layout.to_poly(packed, offset) == poly_reduce_inverses(p * shift)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_product_carries_no_cancelled_zeros(monkeypatch, n):
     """The symplectic denominator's factors cancel a great deal modulo the

@@ -17,6 +17,7 @@ from flc.characters import (
 )
 from flc.polyring import (
     ONE,
+    _Layout,
     eval_integer,
     pa,
     poly_reduce_inverses,
@@ -522,7 +523,9 @@ def _oracle_coefficient(t, group, n):
 
 # n = 4 with (1, 1, 1, 1) and (2, 1, 1, 1) are the first shapes with
 # zeta = 2 (2, 2~, 4, 4~ down column 1), where the so(2n) coefficient is 2.
-_TRANSFER_CASES = _ENGINE_CASES + [(4, (2, 1, 1, 1))]
+# n = 3 with a part 3: many level-1 rows share one fan key (OO (3, 3, 1)
+# lists 2,079 tableaux).
+_TRANSFER_CASES = _ENGINE_CASES + [(4, (2, 1, 1, 1)), (3, (3, 2, 1)), (3, (3, 3, 1))]
 
 
 @pytest.mark.parametrize("group", list(Group))
@@ -556,6 +559,25 @@ def test_transfer_sum_matches_the_per_tableau_oracle(group):
         assert coefficients == {1}
     else:
         assert coefficients == {1, 2, 4}
+
+
+def test_oo_transfer_sum_forms_one_product_per_shared_fan(monkeypatch):
+    """A host-independent guard on the bottom-up grouping, counted as
+    |a| * |b| over every packed product (_Layout.mul_add, which
+    _Layout.product calls too): OO n=3 lambda=(3,3,3) forms 63,102.
+    Multiplying each level-1 row by its own fan forms 77,958, and the
+    top-down sum, with a last-level fold per level sum, formed 189,228."""
+    products = 0
+    true_mul_add = _Layout.mul_add
+
+    def counting(out, a, b, scale=1):
+        nonlocal products
+        products += len(a) * len(b)
+        true_mul_add(out, a, b, scale)
+
+    monkeypatch.setattr(_Layout, "mul_add", staticmethod(counting))
+    assert len(tableau_sum(Group.OO, 3, (3, 3, 3)).terms) == 8824
+    assert 0 < products < 70_000
 
 
 def test_rank_four_oo_tableau_sum():
