@@ -69,6 +69,7 @@ from .polyring import (
     Poly,
     _Layout,
     _maximal_minors,
+    _minors,
     _separable_table,
     _sum_of_split_products,
     _a_free_part,
@@ -76,7 +77,6 @@ from .polyring import (
     XB,
     _det_separable,
     _divide_packed,
-    _row_bound,
     poly_halve,
     poly_reduce_inverses,
     poly_sum,
@@ -135,8 +135,12 @@ def _flag_spec(kind: HKind, lo: int, hi: int) -> VarSpec:
 
 
 def make_partition(parts: Iterable[int], rank: int) -> tuple:
-    """Validate and zero-pad a weakly decreasing partition to the rank."""
-    lam = tuple(int(p) for p in parts)
+    """Validate and zero-pad a weakly decreasing partition to the rank.
+    A part that is not an int (bool included) raises ValueError."""
+    lam = tuple(parts)
+    for p in lam:
+        if type(p) is not int:
+            raise ValueError(f"partition part {p!r} is not an int")
     if any(p < 0 for p in lam):
         raise ValueError("partition parts must be non-negative")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
@@ -260,9 +264,8 @@ def _denominator_info(group: Group, n: int, route: str) -> bool:
     # which are EO's whole denominator (for OO in the x-letters too).
     factor_group = Group.EO if route == "alternant" and group is not Group.GL else group
     factors = _denominator_factors(factor_group, n)
-    # One group per row and per factor: the bound covers both sides.
-    codes: set = set()
-    layout = _Layout(codes, _row_bound([*rows, *([f] for f in factors)], codes), paired=True)
+    # One row per matrix row and per factor: the bound covers both sides.
+    layout = _Layout.for_rows([*rows, *([f] for f in factors)], paired=True)
     prod = layout.product(layout.pack_terms(f) for f in factors)
     if group is Group.EO:
         prod = {v: 2 * c for v, c in prod.items()}
@@ -438,8 +441,7 @@ def _ratio_character(spec: CharSpec, route: str, groups: tuple) -> Poly:
     if group not in groups:
         raise ValueError(f"no alternant-ratio route for group {group}")
     rows = _route_rows(group, n, route, [lam[j] + n - (j + 1) for j in range(n)])
-    codes: set = set()
-    layout = _Layout(codes, _row_bound(rows, codes), paired=True)
+    layout = _Layout.for_rows(rows, paired=True)
     columns = _weyl_columns(_separable_table(rows, layout)[0], _basis_sign(group, route))
     den_group = Group.EO if group is Group.EO_DIFF else group
     if not _denominator_info(den_group, n, route):
@@ -475,17 +477,6 @@ def _jt_alphabet(n: int, part: int, j: int) -> int:
     return n + part - j
 
 
-def _unpacked_minors(rows: list) -> dict:
-    """The nonzero maximal minors of a matrix whose rows map column keys
-    to Poly entries, keyed by ascending tuples of column keys: formed by
-    ``_maximal_minors`` on one paired layout bounded by the row sums
-    (``_row_bound``), so each comes out reduced, and unpacked."""
-    codes: set = set()
-    layout = _Layout(codes, _row_bound([row.values() for row in rows], codes), paired=True)
-    packed = [{p: layout.pack_terms(f) for p, f in row.items()} for row in rows]
-    return {cols: layout.to_poly(m) for cols, m in _maximal_minors(packed, layout).items()}
-
-
 @lru_cache(maxsize=_CACHE_SIZE)
 def _flagged_minors(kind: HKind, n: int, k: int, part: int) -> dict:
     """chi_S = det P[:, S] for the a-free flagged matrix
@@ -499,8 +490,8 @@ def _flagged_minors(kind: HKind, n: int, k: int, part: int) -> dict:
     rows = []
     for i in range(1, k + 1):
         series = _a_free_series(_flag_spec(kind, i, n), part - 1 + i)
-        rows.append({q - i: f for q, f in enumerate(series) if f})
-    return _unpacked_minors(rows)
+        rows.append({q - i: f for q, f in enumerate(series)})
+    return _minors(rows, paired=True)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -508,6 +499,8 @@ def _coefficient_minors(columns: tuple) -> dict:
     """c_S = det Q[S, :] for the x-free matrix
     Q[p][j] = e_(top_j - p)(a_1..a_(N_j)), p = -k..top_j, from the
     block's columns as pairs (top_j, N_j) = (lambda_j - j, N), k of them.
+    Column j reads e_0..e_(top_j + k) only, so ``hfuncs._elementary``
+    builds no more; an e_r with r > N_j is 0, and ``_minors`` skips it.
 
     They hold no group, so every JT group of one rank and shape shares
     them; the key holds each N, so a change of alphabet is never served
@@ -516,9 +509,9 @@ def _coefficient_minors(columns: tuple) -> dict:
     k = len(columns)
     rows = []
     for top, length in columns:
-        e = _elementary(length)
-        rows.append({p: e[top - p] for p in range(-k, top + 1) if top - p <= length})
-    return _unpacked_minors(rows)
+        e = _elementary(length, top + k)
+        rows.append({p: e[top - p] for p in range(-k, top + 1)})
+    return _minors(rows, paired=True)
 
 
 def char_jacobi_trudi(spec: CharSpec) -> Poly:

@@ -32,8 +32,8 @@ geometric loop, cached; ``_a_loop`` multiplies in the a-factors.  ``h``
 runs the a-loop on a copy of the series, so
 h_m = sum_k e_k(a_{1+shift}..a_{L+m-1+shift}) * h0_{m-k}, with h0 the
 a-free coefficient; ``_elementary`` is the a-loop on the seed [1], the
-e_k themselves.  The Jacobi-Trudi route takes both pieces apart
-(``characters.char_jacobi_trudi``).
+e_k themselves, up to the degree its caller reads.  The Jacobi-Trudi
+route takes both pieces apart (``characters.char_jacobi_trudi``).
 
 ``flc.series`` builds the same products as truncated series and is the
 reference h is tested against.
@@ -205,9 +205,10 @@ def _a_loop(c: list, length: int, shift: int = 0) -> list:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _elementary(length: int) -> tuple:
-    """e_0..e_length of a_1..a_length, by the a-loop on the seed [1]."""
-    return tuple(_a_loop([ONE] + [ZERO] * length, length))
+def _elementary(length: int, degree: int) -> tuple:
+    """e_0..e_degree of a_1..a_length, by the a-loop on the seed [1] of
+    degree + 1 coefficients; an e_r with r > length comes out 0."""
+    return tuple(_a_loop([ONE] + [ZERO] * degree, length))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

@@ -419,14 +419,6 @@ def _codes_and_degree(p: Poly, codes: set) -> int:
     return deg
 
 
-def _row_bound(rows: Iterable[Iterable[Poly]], codes: set) -> int:
-    """Add the codes of every entry to ``codes``; return the sum over rows
-    of the row's largest entry degree (0 for an empty row).  A product
-    that takes at most one entry from each row, and any sum of such
-    products, has total degree at most that."""
-    return sum(max((_codes_and_degree(f, codes) for f in row), default=0) for row in rows)
-
-
 class _Layout:
     """A packed-exponent layout shared by every step of one computation.
 
@@ -451,7 +443,7 @@ class _Layout:
         ``poly_reduce_inverses``, and every product and sum formed on the
         ints is already reduced.  Every route's minors
         (``_maximal_minors``) use it: Jacobi-Trudi's for its two
-        factors (``characters._unpacked_minors``), the ratio routes'
+        factors (``_minors(rows, paired=True)``), the ratio routes'
         through their packed tables (``_separable_table``) and
         ``_det_separable``; so do the Weyl quotients
         (``_weyl_quotient``), ``group_tableau_sum``,
@@ -539,18 +531,24 @@ class _Layout:
         return out
 
     @classmethod
-    def for_products(cls, groups: Iterable[Iterable[Poly]], paired: bool = False) -> Tuple["_Layout", list]:
-        """A layout for products that take one factor from each group, and
-        every group's factors packed under it, in order.
+    def for_rows(cls, rows: Iterable[Iterable[Poly]], paired: bool = False) -> "_Layout":
+        """A layout for products that take at most one entry from each row.
 
-        The degree bound is the sum over groups of the group's largest
-        factor degree: a product takes one factor from each of some of the
-        groups, so it, and any sum of such products, has total degree at
-        most the bound and no field overflows.
+        It holds the codes of every entry, and its degree bound is the sum
+        over rows of the row's largest entry degree (0 for an empty row):
+        such a product, and any sum of such products, has total degree at
+        most that, so no field overflows.
         """
-        groups = [list(g) for g in groups]
         codes: set = set()
-        layout = cls(codes, _row_bound(groups, codes), paired)
+        degree = sum(max((_codes_and_degree(f, codes) for f in row), default=0) for row in rows)
+        return cls(codes, degree, paired)
+
+    @classmethod
+    def for_products(cls, groups: Iterable[Iterable[Poly]], paired: bool = False) -> Tuple["_Layout", list]:
+        """The layout ``for_rows`` gives the groups, and every group's
+        factors packed under it, in order."""
+        groups = [list(g) for g in groups]
+        layout = cls.for_rows(groups, paired)
         return layout, [[layout.pack_terms(f) for f in g] for g in groups]
 
     @staticmethod
@@ -687,10 +685,10 @@ def _divide_packed(rem: dict, divisor: dict, layout: _Layout) -> dict:
 def poly_exact_div(p: Poly, q: Poly) -> Poly:
     """Divide p by q, raising DivisionNotExact unless q divides p exactly.
 
-    One call of the division kernel ``_divide_packed`` under a formal
-    ``_Layout`` of the codes of p and q, with degree bound D, the larger
-    total degree of p and q.  That bound holds for every monomial the
-    division touches: each remainder and quotient monomial is at most
+    One call of the division kernel ``_divide_packed`` under the formal
+    ``_Layout.for_rows`` of one row [p, q], whose degree bound D is the
+    larger total degree of p and q.  That bound holds for every monomial
+    the division touches: each remainder and quotient monomial is at most
     lead(p) in the graded order, so its total degree is at most
     deg p <= D.  p and q are packed once and the quotient is unpacked
     once, at the end.
@@ -699,9 +697,7 @@ def poly_exact_div(p: Poly, q: Poly) -> Poly:
         raise DivisionByZero("division by the zero polynomial")
     if not p.terms:
         return ZERO
-    codes: set = set()
-    deg = max(_codes_and_degree(p, codes), _codes_and_degree(q, codes))
-    layout = _Layout(codes, deg)
+    layout = _Layout.for_rows([[p, q]])
     return layout.to_poly(_divide_packed(layout.pack_terms(p), layout.pack_terms(q), layout))
 
 
@@ -832,7 +828,7 @@ def _separable_table(rows: Sequence[Sequence[Poly]], layout: _Layout) -> Tuple[l
     and per row the packed unit of its plain letter y_i (0 for a row of
     constants).  Packing is one-to-one on a-monomials, so tables compare
     as the a-polynomials do.  ``layout`` must hold the entries' codes and
-    bound the row sums (``_row_bound``), as the table's minors need.
+    bound the row sums (``_Layout.for_rows``), as the table's minors need.
     """
     unit = layout.unit
     table = None
@@ -888,10 +884,9 @@ def _maximal_minors(rows: Sequence[Mapping[int, dict]], layout: _Layout) -> dict
 
     The ratio routes pass a coefficient table, whose rows are its columns
     C[j] keyed by exponent (``_det_separable``, ``_ratio_character``);
-    Jacobi-Trudi passes the rows of its factors P and Q^T keyed by their
-    inner index (``characters._unpacked_minors``); ``_det_cofactor``
-    passes a square matrix keyed by column index, whose one maximal minor
-    is its determinant.
+    Jacobi-Trudi's factors P and Q^T, keyed by their inner index, and
+    ``_det_cofactor``'s square matrix, keyed by column index, come in as
+    ``Poly`` rows through ``_minors``.
     """
     minors: dict = {(): {0: 1}}
     for j, row in enumerate(rows):
@@ -926,8 +921,8 @@ def _det_separable(table: Sequence[Mapping[int, dict]], units: Sequence[int], la
     distinct across all E and sigma, so nothing cancels and the cost is
     about the size of the determinant.
 
-    ``layout`` must bound the matrix's row sums (``_row_bound``): every
-    term formed is a sub-product of one entry term per row and per
+    ``layout`` must bound the matrix's row sums (``_Layout.for_rows``):
+    every term formed is a sub-product of one entry term per row and per
     column.  The Weyl quotients (``characters._weyl_quotient``) pass their
     integer basis table and the layout that they divide and expand under,
     so their alternants are never unpacked before the division.
@@ -955,27 +950,33 @@ def _det_separable(table: Sequence[Mapping[int, dict]], units: Sequence[int], la
     return det
 
 
-def _det_cofactor(rows: Sequence[Sequence[Poly]], paired: bool = False) -> Poly:
-    """The determinant of a square matrix by ``_maximal_minors``, the
-    Laplace expansion that the ratio routes' minors run on.
+def _minors(rows: Sequence[Mapping], paired: bool = False) -> dict:
+    """The nonzero maximal minors of a matrix whose rows map column keys
+    to ``Poly`` entries, keyed by ascending tuples of column keys, by
+    ``_maximal_minors``.
 
-    The matrix is packed once by ``_Layout.for_products``, one group per
-    row, so the degree bound D is the sum over rows of the row's largest
-    entry degree; every minor is a sum of products of one entry from each
-    of some set of rows, so its total degree is at most D and no field
-    overflows.  Row i goes to the engine as {column j: entry}, so the
-    only maximal minor is keyed by every column, and the determinant is
-    unpacked once; a matrix with no nonzero maximal minor gives 0.
-
-    ``paired`` selects the paired layout (see ``_Layout``): the
-    determinant then comes out reduced modulo x_i*xb_i = 1 and
-    s_i*sb_i = 1, the form the tests compare the routes' determinants
-    in; ``poly_determinant``, the one caller in the library, keeps the
-    free ring's formal layout.
+    The rows are packed once under ``_Layout.for_rows``, whose bound, the
+    sum over rows of the row's largest entry degree, holds for every
+    minor: each is a sum of products of one entry from each of some set
+    of rows.  Zero entries are skipped, and each minor is unpacked once.
+    ``paired`` selects the paired layout (see ``_Layout``), under which
+    the minors come out reduced modulo x_i*xb_i = 1 and s_i*sb_i = 1.
     """
-    layout, packed = _Layout.for_products(rows, paired)
-    minors = _maximal_minors([{j: f for j, f in enumerate(row) if f} for row in packed], layout)
-    return layout.to_poly(minors.get(tuple(range(len(rows))), {}))
+    layout = _Layout.for_rows([row.values() for row in rows], paired)
+    packed = [{key: v for key, f in row.items() if (v := layout.pack_terms(f))} for row in rows]
+    return {cols: layout.to_poly(m) for cols, m in _maximal_minors(packed, layout).items()}
+
+
+def _det_cofactor(rows: Sequence[Sequence[Poly]], paired: bool = False) -> Poly:
+    """The determinant of a square matrix: its one maximal minor
+    (``_minors``), with row i keyed by column index, so the minor is
+    keyed by every column; a matrix with no nonzero maximal minor gives 0.
+
+    With ``paired`` the determinant comes out reduced, the form the tests
+    compare the routes' determinants in; ``poly_determinant``, the one
+    caller in the library, keeps the free ring's formal layout.
+    """
+    return _minors([dict(enumerate(row)) for row in rows], paired).get(tuple(range(len(rows))), ZERO)
 
 
 def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:

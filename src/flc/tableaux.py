@@ -22,7 +22,10 @@ so the conditions are one graph on rows, _row_graph: a level's rows are
 the sorted multisets of its T4 letters (T1) with at most one 0 (T5), one
 predicate, fits, says whether a row may sit under another (T2, T3, T6),
 and the rows that fit under each (level, row above) are found once per
-graph.  enumerate_tableaux walks the graph depth first.
+graph.  A row is a tuple of alphabet positions, and the graph holds
+nothing else.  One walk, _walk, goes through the graph depth first and
+maps each row it meets to its Entry tuple once; enumerate_tableaux
+lists the walk, and weighted_tableaux iterates it.
 
 Each cell carries a linear weight from the group's table; the weighted
 sums over complete tableau sets reproduce the characters computed by the
@@ -53,12 +56,12 @@ cell factor is linear (x + a, xb + a, 1 - a, or a bare letter when the
 a-index is <= 0), so the bound is at most |lambda|, and no weight or sum
 of weights has a term of higher degree.
 
-weighted_tableaux (the flc tableaux listing) walks enumerate_tableaux and
-yields each tableau with its coefficient and weight().  weight() stays
-the literal Poly product of the cell factors, matched pairs kept, and
-with enumerate_tableaux and tab_stats, is_diff_tableau and
-so_even_coefficient it is the per-tableau oracle the tests hold the
-transfer sum to.
+weighted_tableaux (the flc tableaux listing) yields each tableau of the
+walk with its coefficient and weight() as the walk finds it, so a long
+listing is never held whole.  weight() stays the literal Poly product of
+the cell factors, matched pairs kept, and with enumerate_tableaux and
+tab_stats, is_diff_tableau and so_even_coefficient it is the per-tableau
+oracle the tests hold the transfer sum to.
 """
 
 from __future__ import annotations
@@ -155,20 +158,20 @@ def _row_graph(group: Group, n: int, shape: tuple) -> Tuple[tuple, Callable[[int
     outside GL, and the OO 0 last.  Returns (top, successors): top is a
     virtual row of position -1 above level 1, under which T2 and T3 always
     hold and T6 rules out a 1~ beside a 1; successors(k, above) lists the
-    (positions, entries) of the level-k rows that may sit under the row
-    ``above`` and that some rows below complete to a tableau, in lex
-    order, each list found once per graph.  So every row a walk from top
-    reaches lies on a whole tableau, and no partial tableau is a dead end.
+    level-k rows that may sit under the row ``above`` and that some rows
+    below complete to a tableau, in lex order, each list found once per
+    graph.  So every row a walk from top reaches lies on a whole tableau,
+    and no partial tableau is a dead end.
     """
     eo_rules = group in _EO_FAMILY
     alphabet = _alphabet(group, n)
     zero = alphabet.index(ZERO_ENTRY) if group is Group.OO else None
 
-    def level_rows(k: int, width: int) -> List[Tuple[tuple, tuple]]:
-        """(positions, entries) of the level-k rows under T1, T4, T5, in lex order."""
+    def level_rows(k: int, width: int) -> List[tuple]:
+        """The level-k rows under T1, T4, T5, in lex order."""
         lo = 0 if group is Group.GL else 2 * k - 2  # T4
         return [
-            (row, tuple(map(alphabet.__getitem__, row)))
+            row
             for row in combinations_with_replacement(range(lo, len(alphabet)), width)  # T1
             if row.count(zero) < 2  # T5
         ]
@@ -189,13 +192,35 @@ def _row_graph(group: Group, n: int, shape: tuple) -> Tuple[tuple, Callable[[int
         fitting = lists.get((k, above))
         if fitting is None:
             fitting = lists[k, above] = [
-                c
-                for c in candidates[k - 1]
-                if fits(above, c[0], k) and (k == len(shape) or successors(k + 1, c[0]))
+                row
+                for row in candidates[k - 1]
+                if fits(above, row, k) and (k == len(shape) or successors(k + 1, row))
             ]
         return fitting
 
     return (-1,) * max(shape, default=0), successors
+
+
+def _walk(group: Group, n: int, lam: tuple) -> Iterator[Tableau]:
+    """The tableaux of the padded partition ``lam``, depth first through
+    the row graph, in row-major lex order.  Each graph row is mapped to
+    its entries once per walk, so tableaux that share a row share its
+    entry tuple."""
+    shape = tuple(p for p in lam if p)
+    top, successors = _row_graph(group, n, shape)
+    alphabet = _alphabet(group, n)
+    entries: Dict[tuple, tuple] = {}
+
+    def extend(k: int, above: tuple, rows: tuple) -> Iterator[Tableau]:
+        if k > len(shape):
+            yield Tableau(shape, rows)
+            return
+        for row in successors(k, above):
+            if row not in entries:
+                entries[row] = tuple(map(alphabet.__getitem__, row))
+            yield from extend(k + 1, row, rows + (entries[row],))
+
+    return extend(1, top, ())
 
 
 def enumerate_tableaux(group: Group, n: int, lam_parts: Iterable[int]) -> List[Tableau]:
@@ -205,20 +230,7 @@ def enumerate_tableaux(group: Group, n: int, lam_parts: Iterable[int]) -> List[T
     tableau set; their extra first-column selections happen in the
     summing operations.
     """
-    lam = make_partition(lam_parts, n)
-    shape = tuple(p for p in lam if p)
-    top, successors = _row_graph(group, n, shape)
-    out: List[Tableau] = []
-
-    def extend(k: int, above: tuple, rows: tuple) -> None:
-        if k > len(shape):
-            out.append(Tableau(shape, rows))
-            return
-        for row, entries in successors(k, above):
-            extend(k + 1, row, rows + (entries,))
-
-    extend(1, top, ())
-    return out
+    return list(_walk(group, n, make_partition(lam_parts, n)))
 
 
 def _cell_weight(e: Entry, i: int, j: int, group: Group, n: int) -> Poly:
@@ -346,53 +358,22 @@ def _half(c: int) -> int:
     return q
 
 
-def _setup(
-    group: Group, n: int, lam_parts: Iterable[int]
-) -> Tuple[tuple, List[Tuple[int, _Rule]], _Layout, List[list]]:
-    """What the transfer sum starts from: the shape (the nonzero parts),
-    the coefficient rules, and a paired layout (see polyring._Layout) with
-    every factor _cell_weight gives a cell packed under it, indexed by
-    alphabet position, one list of cells per level.
-
-    Raises InvalidShape for EO_DIFF with fewer than n nonzero parts.  The
-    factors are packed by _Layout.for_products with one group of factors
-    per cell, so the degree bound is the sum over cells of the cell's
-    largest factor degree, i.e. at most |lambda|; the weight of a partial
-    tableau takes at most one factor per cell, so no term of it, or of
-    any sum of such weights, exceeds the bound.
-    """
-    lam = make_partition(lam_parts, n)
-    rules = _coefficient_rules(group, lam)
-    shape = tuple(p for p in lam if p)
-    alphabet = _alphabet(group, n)
-    layout, packed = _Layout.for_products(
-        (
-            [_cell_weight(e, i, j, group, n) for e in alphabet]
-            for i, w in enumerate(shape, start=1)
-            for j in range(1, w + 1)
-        ),
-        paired=True,
-    )
-    cells = iter(packed)
-    levels = [list(islice(cells, w)) for w in shape]
-    return shape, rules, layout, levels
-
-
 def weighted_tableaux(
     group: Group, n: int, lam_parts: Iterable[int]
 ) -> Iterator[Tuple[Tableau, int, Poly]]:
     """Yield (tableau, coefficient, weight) for every tableau in the group's sum.
 
-    The tableaux of enumerate_tableaux, each with its coefficient (see
-    _coefficient_rules) and its weight(); tableaux with coefficient 0 are
-    left out.  For EO_DIFF with fewer than n nonzero parts, iterating
-    raises InvalidShape.  The triples are yielded, not listed, so a caller
-    never needs to hold every weight at once.
+    The tableaux of enumerate_tableaux, in its order, each with its
+    coefficient (see _coefficient_rules) and its weight(); tableaux with
+    coefficient 0 are left out.  For EO_DIFF with fewer than n nonzero
+    parts, iterating raises InvalidShape.  The walk of the row graph is
+    iterated, and the triples yielded, as they are found, so neither the
+    tableaux nor their weights are ever held all at once.
     """
     lam = make_partition(lam_parts, n)
     rules = _coefficient_rules(group, lam)
     position = {e: p for p, e in enumerate(_alphabet(group, n))}
-    for t in enumerate_tableaux(group, n, lam):
+    for t in _walk(group, n, lam):
         firsts = [position[row[0]] for row in t.rows]
         aboves = [-1, *firsts]
         c = sum(sign * prod(map(rule, count(1), aboves, firsts)) for sign, rule in rules)
@@ -434,7 +415,7 @@ def _transfer_sum(
     mul_add = _Layout.mul_add
     reached = [[top]]
     for k in range(1, depth + 1):
-        rows = (r for a in reached[-1] for r, _ in successors(k, a) if rule(k, a[0], r[0]))
+        rows = (r for a in reached[-1] for r in successors(k, a) if rule(k, a[0], r[0]))
         reached.append(list(dict.fromkeys(rows)))
     below: dict = {None: {0: 1}}
 
@@ -455,7 +436,7 @@ def _transfer_sum(
                 key: tuple = ((None, 1),)
             else:
                 key = tuple(
-                    (u, c) for u, _ in successors(k + 1, r) if (c := rule(k + 1, r[0], u[0]))
+                    (u, c) for u in successors(k + 1, r) if (c := rule(k + 1, r[0], u[0]))
                 )
             if k == 1:
                 acc = level.setdefault(key, {})
@@ -489,11 +470,33 @@ def group_tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
     One bottom-up transfer sum over the row graph per coefficient rule
     (_transfer_sum), with one product per shared fan at level 1, on the
     paired layout, so the sum comes out reduced and is unpacked once; no
-    tableau is enumerated and no tableau's weight is formed.  Raises InvalidShape
-    for EO_DIFF with fewer than n nonzero parts; SO_EVEN_PLUS/MINUS with
-    fewer than n nonzero parts get the plain 2^zeta sum.
+    tableau is enumerated and no tableau's weight is formed.  Raises
+    InvalidShape for EO_DIFF with fewer than n nonzero parts;
+    SO_EVEN_PLUS/MINUS with fewer than n nonzero parts get the plain
+    2^zeta sum.
+
+    Every factor _cell_weight gives a cell is packed once, indexed by
+    alphabet position, one list of cells per level, by
+    _Layout.for_products with one group of factors per cell: the degree
+    bound is the sum over cells of the cell's largest factor degree, at
+    most |lambda|, and the weight of a partial tableau takes at most one
+    factor per cell, so no term of it, or of any sum of such weights,
+    exceeds the bound.
     """
-    shape, rules, layout, levels = _setup(group, n, lam_parts)
+    lam = make_partition(lam_parts, n)
+    rules = _coefficient_rules(group, lam)
+    shape = tuple(p for p in lam if p)
+    alphabet = _alphabet(group, n)
+    layout, packed = _Layout.for_products(
+        (
+            [_cell_weight(e, i, j, group, n) for e in alphabet]
+            for i, w in enumerate(shape, start=1)
+            for j in range(1, w + 1)
+        ),
+        paired=True,
+    )
+    cells = iter(packed)
+    levels = [list(islice(cells, w)) for w in shape]
     top, successors = _row_graph(group, n, shape)
     total: dict = {}
     for sign, rule in rules:

@@ -2,6 +2,7 @@
 agreement, denominator identities, the so(2n) family, and dimensions."""
 
 import hashlib
+import re
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given
 
 import flc.characters
+import flc.hfuncs
 from flc.characters import (
     CharSpec,
     Group,
@@ -81,6 +83,18 @@ def test_make_partition():
         make_partition([1, 1, 1], 2)
     with pytest.raises(ValueError):
         make_partition([-1], 1)
+
+
+@pytest.mark.parametrize("part", [1.5, True, "2"], ids=["float", "bool", "str"])
+def test_make_partition_refuses_a_part_that_is_not_an_int(part):
+    """Parts are never truncated or parsed: 2.7 is not 2, True is not 1,
+    and "21" is not (2, 1)."""
+    with pytest.raises(ValueError, match=f"partition part {re.escape(repr(part))} is not an int"):
+        make_partition([2, part], 2)
+    with pytest.raises(ValueError, match="is not an int"):
+        char_spec(Group.GL, 2, [part])
+    with pytest.raises(ValueError, match="is not an int"):
+        char_spec(Group.GL, 2, "21")
 
 
 def test_partition_length():
@@ -632,6 +646,27 @@ def test_dimension_matches_weyl_formula(group, n):
     for lam in shapes(n, 2):
         want = _ORACLES[group](n, lam)
         assert dimension(char_spec(group, n, lam)) == want, (group, lam)
+
+
+def test_jacobi_trudi_builds_only_the_elementary_functions_it_reads(monkeypatch):
+    """Host-independent guard: Q's column j reads e_0..e_(lambda_j - j + k)
+    of its a-alphabet only, so GL n=20, lambda=(1) runs the a-loop on
+    seeds of two coefficients, where building every e_0..e_20 takes 2^20
+    terms.  The rank-30 dimensions of lambda = (1) and (1, 1), which
+    would take 2^30, then match the Weyl oracle."""
+    flc.hfuncs._elementary.cache_clear()
+    flc.characters._coefficient_minors.cache_clear()
+    a_loop = flc.hfuncs._a_loop
+
+    def short_seeds_only(c, length, shift=0):
+        assert len(c) <= 3, f"the a-loop runs on a seed of {len(c)} coefficients"
+        return a_loop(c, length, shift)
+
+    monkeypatch.setattr(flc.hfuncs, "_a_loop", short_seeds_only)
+    char_jacobi_trudi(char_spec(Group.GL, 20, [1]))
+    for group in BASE_GROUPS:
+        for lam in ((1,), (1, 1)):
+            assert dimension(char_spec(group, 30, lam)) == _ORACLES[group](30, lam), (group, lam)
 
 
 @given(polys())

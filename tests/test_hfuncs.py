@@ -217,7 +217,10 @@ def _e(k, length):
 
 @pytest.mark.parametrize("length", range(6))
 def test_elementary_is_the_a_loop_on_one(length):
-    assert _elementary(length) == tuple(_e(k, length) for k in range(length + 1))
+    """e_0..e_degree at every degree up to two past the length, where
+    every e_r with r > length is 0."""
+    for degree in range(length + 3):
+        assert _elementary(length, degree) == tuple(_e(k, length) for k in range(degree + 1))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -228,7 +228,7 @@ def test_worked_example_tuple():
 # independence of the routes
 
 
-_ROUTE_ENGINES = {"poly_determinant", "_det_cofactor", "_maximal_minors", "_det_separable"}
+_ROUTE_ENGINES = {"poly_determinant", "_det_cofactor", "_minors", "_maximal_minors", "_det_separable"}
 
 
 def _route_names(source):

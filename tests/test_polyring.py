@@ -1,6 +1,8 @@
 """Ring axioms, exact division, inverse-pair reduction, determinants,
 rendering and serialization for the sparse polynomial core."""
 
+from itertools import combinations
+
 import pytest
 
 from hypothesis import assume, example, given, settings
@@ -23,6 +25,7 @@ from flc.polyring import (
     _Layout,
     _det_cofactor,
     _det_separable,
+    _minors,
     _separable_table,
     eval_integer,
     map_s_to_x,
@@ -638,6 +641,36 @@ def test_det_separable_refuses_another_pairs_letter(rows, name):
     layout, _ = _Layout.for_products(rows, paired=True)
     with pytest.raises(ValueError, match=f"{name}, outside its own pair"):
         _separable_table(rows, layout)
+
+
+@st.composite
+def keyed_matrices(draw):
+    """k <= 3 rows over k + 1 or k + 2 column keys, some negative, each
+    row a dict from keys to polys() that may leave a key out or map it
+    to zero."""
+    k = draw(st.integers(1, 3))
+    keys = draw(st.sets(st.integers(-3, 5), min_size=k + 1, max_size=k + 2))
+    return [{key: draw(polys()) for key in keys if draw(st.booleans())} for _ in range(k)]
+
+
+@settings(max_examples=100)
+@given(keyed_matrices(), st.booleans())
+# the minor on columns (0, 1) is x1*xb1 - 1: zero in paired mode only
+@example([{0: x1 * xb1, 1: ONE, 2: a1}, {0: ONE, 1: ONE, 2: x1}], True)
+@example([{0: x1 * xb1, 1: ONE, 2: a1}, {0: ONE, 1: ONE, 2: x1}], False)
+def test_minors_are_the_leibniz_minors_of_non_square_matrices(rows, paired):
+    """Every nonzero maximal minor, keyed by its ascending columns, and
+    no zero one: paired minors come out reduced."""
+    reduce = poly_reduce_inverses if paired else (lambda p: p)
+    keys = sorted(set().union(*rows))
+    want = {}
+    for cols in combinations(keys, len(rows)):
+        minor = reduce(_leibniz([[row.get(c, ZERO) for c in cols] for row in rows]))
+        if minor:
+            want[cols] = minor
+    got = _minors(rows, paired)
+    assert all(got.values())
+    assert got == want
 
 
 @pytest.mark.parametrize("e", [1, 40])

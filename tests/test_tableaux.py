@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+import flc.tableaux
 from flc.characters import (
     Group,
     char_jacobi_trudi,
@@ -327,6 +328,18 @@ def test_sp_worked_example_weight():
     # The listing keeps matched pairs: the tableau 1 1~ weighs x1*(xb1 + a2).
     listed = [poly_to_str(w) for _, _, w in weighted_tableaux(Group.SP, 1, (2,))]
     assert "x1*xb1 + x1*a2" in listed
+
+
+def test_weighted_tableaux_streams_without_listing(monkeypatch):
+    """The listing walks the row graph lazily: its first triple comes out
+    without every tableau being listed first."""
+    first = enumerate_tableaux(Group.OO, 3, (2, 1))[0]
+
+    def listed(*args):
+        raise AssertionError("weighted_tableaux listed every tableau")
+
+    monkeypatch.setattr(flc.tableaux, "enumerate_tableaux", listed)
+    assert next(weighted_tableaux(Group.OO, 3, (2, 1))) == (first, 1, weight(first, Group.OO, 3))
 
 
 def test_oo_worked_example_weight():
