@@ -124,7 +124,10 @@ def _parse_eval(pairs: Sequence[str]) -> dict:
             number = int(value)  # isdigit also passes "--5" and "²"
         except ValueError:
             raise ValueError(f"--eval wants var=int, got {item!r}") from None
-        out[parse_var(name)] = number
+        var = parse_var(name)
+        if var in out:
+            raise ValueError(f"--eval assigns {var} more than once")
+        out[var] = number
     return out
 
 
@@ -448,8 +451,9 @@ def _build_parser() -> _Parser:
         "--eval",
         dest="eval_pairs",
         nargs="*",
+        action="extend",
         metavar="VAR=INT",
-        help="substitute integer values, e.g. x1=2 xb1=1 a1=0",
+        help="substitute integer values, e.g. x1=2 xb1=1 a1=0; repeated flags add to the list",
     )
     p_char.add_argument("--format", choices=["text", "json"], default="text")
     p_char.set_defaults(fn=cmd_char)

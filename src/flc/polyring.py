@@ -210,11 +210,6 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
     return tuple(out)
 
 
-def _order_key(mono: Mono):
-    """Sort key realising the graded-lex order (larger key = larger monomial)."""
-    return (sum(e for _, e in mono), tuple((-c, e) for c, e in mono))
-
-
 def _strip(d: dict) -> dict:
     return {m: c for m, c in d.items() if c}
 
@@ -466,7 +461,10 @@ class _Layout:
 
     For bar-free monomials (every digit >= 0) both modes give the same
     int as the graded packing of the plain letters, and its order is
-    exactly the graded-lex order.  The one division kernel,
+    exactly the graded-lex order.  A formal layout's digits are never
+    negative, so its int order is the canonical text order for every
+    monomial: rendering (``_descending``) sorts on it, one int per term.
+    The one division kernel,
     ``_divide_packed``, works on such ints only: the free ring's, the
     cleared operands of ``poly_exact_div_inverses``, and the Weyl
     quotients' alternants in the orbit letters z_i.  Its guard test:
@@ -807,7 +805,7 @@ def poly_halve(p: Poly) -> Poly:
     out = {}
     for m, c in p.terms.items():
         if c % 2:
-            raise OddCoefficient(f"coefficient {c} of {_mono_str(m) or '1'} is odd")
+            raise OddCoefficient(f"coefficient {c} of {poly_to_str(_poly({m: 1}))} is odd")
         out[m] = c // 2
     return _poly(out)
 
@@ -1069,47 +1067,45 @@ def eval_integer(p: Poly, point: Mapping[VarId, int]) -> int:
     return total
 
 
-def _mono_str(m: Mono) -> str:
-    return "*".join(
-        _var_name(code) + (f"^{exp}" if exp > 1 else "") for code, exp in m
-    )
-
-
-def _term_str(m: Mono, c: int, lead: bool) -> str:
-    body = _mono_str(m)
-    mag = abs(c)
-    if not body:
-        core = str(mag)
-    elif mag == 1:
-        core = body
-    else:
-        core = f"{mag}*{body}"
-    if lead:
-        return f"-{core}" if c < 0 else core
-    return f"- {core}" if c < 0 else f"+ {core}"
+def _descending(p: Poly) -> list:
+    """p's monomials in descending monomial order, sorted on one int per
+    term: a formal layout's packed int order is the graded-lex order (see
+    ``_Layout``)."""
+    unit = _Layout.for_rows([[p]]).unit
+    return sorted(p.terms, key=lambda m: sum(e * unit[c] for c, e in m), reverse=True)
 
 
 def poly_to_str(p: Poly) -> str:
     """Canonical text form: terms in descending monomial order."""
     if not p.terms:
         return "0"
-    monos = sorted(p.terms, key=_order_key, reverse=True)
-    parts = [_term_str(monos[0], p.terms[monos[0]], lead=True)]
-    parts.extend(_term_str(m, p.terms[m], lead=False) for m in monos[1:])
+    # Each (code, exponent) piece such as "xb2^3" is built once per call.
+    piece = {
+        (code, exp): _var_name(code) + (f"^{exp}" if exp > 1 else "")
+        for code, exp in {ce for m in p.terms for ce in m}
+    }
+    terms, parts = p.terms, []
+    for m in _descending(p):
+        c = terms[m]
+        body = "*".join(map(piece.__getitem__, m))
+        mag = abs(c)
+        core = (body if mag == 1 else f"{mag}*{body}") if body else str(mag)
+        parts.append(("- " if c < 0 else "+ ") + core)
+    # The lead term's sign has no space after it, and a "+" none at all.
+    lead = parts[0]
+    parts[0] = lead[2:] if lead[0] == "+" else "-" + lead[2:]
     return " ".join(parts)
 
 
 def poly_to_json(p: Poly) -> dict:
     """JSON form: {"terms": [{"coeff": c, "monomial": {"x1": 2, ...}}, ...]}."""
-    terms = []
-    for m in sorted(p.terms, key=_order_key, reverse=True):
-        terms.append(
-            {
-                "coeff": p.terms[m],
-                "monomial": {_var_name(code): exp for code, exp in m},
-            }
-        )
-    return {"terms": terms}
+    name = {code: _var_name(code) for code in {code for m in p.terms for code, _ in m}}
+    return {
+        "terms": [
+            {"coeff": p.terms[m], "monomial": {name[code]: exp for code, exp in m}}
+            for m in _descending(p)
+        ]
+    }
 
 
 def poly_from_json(data: Mapping) -> Poly:

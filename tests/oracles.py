@@ -1,13 +1,20 @@
-"""Independent dimension oracles for the classical families.
+"""Independent oracles: dimensions of the classical families, and the
+reference canonical rendering.
 
-Everything here is computed straight from the Weyl dimension formula
+The dimensions are computed straight from the Weyl dimension formula
 over the root systems, in exact rational arithmetic, with no use of the
 package's polynomial machinery.  Tests compare character evaluations
 against these numbers.
+
+The reference renderer orders terms by a graded-lex key built of tuples
+and prints every term afresh, with no packed layout; the tests hold
+``poly_to_str`` and ``poly_to_json`` to it.
 """
 
 from fractions import Fraction
 from typing import Sequence
+
+from flc.polyring import _var_name
 
 
 def _pad(lam: Sequence[int], n: int) -> list:
@@ -72,3 +79,43 @@ def dim_o_even(n: int, lam: Sequence[int]) -> int:
     lam = _pad(lam, n)
     base = dim_so_even(n, lam)
     return 2 * base if lam[n - 1] > 0 else base
+
+
+# ---------------------------------------------------------------------------
+# reference rendering
+
+
+def order_key(mono: tuple):
+    """Sort key realising the graded-lex order (larger key = larger
+    monomial): total degree first, then the (code, exponent) pairs, where
+    an earlier code or a higher exponent on the same code wins."""
+    return (sum(e for _, e in mono), tuple((-c, e) for c, e in mono))
+
+
+def descending(p) -> list:
+    """p's monomials in descending graded-lex order."""
+    return sorted(p.terms, key=order_key, reverse=True)
+
+
+def _term_str(m: tuple, c: int, lead: bool) -> str:
+    body = "*".join(_var_name(code) + (f"^{exp}" if exp > 1 else "") for code, exp in m)
+    mag = abs(c)
+    if not body:
+        core = str(mag)
+    elif mag == 1:
+        core = body
+    else:
+        core = f"{mag}*{body}"
+    if lead:
+        return f"-{core}" if c < 0 else core
+    return f"- {core}" if c < 0 else f"+ {core}"
+
+
+def poly_str(p) -> str:
+    """The canonical text of p, one term at a time."""
+    if not p.terms:
+        return "0"
+    monos = descending(p)
+    parts = [_term_str(monos[0], p.terms[monos[0]], lead=True)]
+    parts.extend(_term_str(m, p.terms[m], lead=False) for m in monos[1:])
+    return " ".join(parts)

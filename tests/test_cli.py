@@ -77,6 +77,29 @@ def test_char_eval_collapses_to_integer(capsys):
     assert out.strip() == "5"
 
 
+def test_char_repeated_eval_flags_accumulate(capsys):
+    """A later --eval, even an empty one, adds to the earlier assignments."""
+    code, out, _ = run_cli(
+        capsys,
+        "char", "--group", "gl", "--rank", "2", "--lambda", "1",
+        "--eval", "x1=2", "--eval", "x2=3", "a1=0", "--eval",
+    )
+    assert code == 0
+    assert out.strip() == "a2 + 5"
+
+
+@pytest.mark.parametrize(
+    "pairs", [["x1=2", "x1=3"], ["x1=2", "--eval", "x1=2"], ["a1=0", "a01=1"]]
+)
+def test_char_eval_assigning_a_variable_twice_exits_one(capsys, pairs):
+    code, out, err = run_cli(
+        capsys, "char", "--group", "gl", "--rank", "2", "--lambda", "1", "--eval", *pairs
+    )
+    assert code == 1
+    assert out == ""
+    assert f"error: --eval assigns {pairs[0].split('=')[0]} more than once" in err
+
+
 def test_char_json_round_trip(capsys):
     code, out, _ = run_cli(
         capsys,

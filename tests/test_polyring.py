@@ -1,6 +1,7 @@
 """Ring axioms, exact division, inverse-pair reduction, determinants,
 rendering and serialization for the sparse polynomial core."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from flc.characters import Group, _denominator_factors, weyl_denominator_product
+from flc.characters import (
+    Group,
+    _denominator_factors,
+    char_jacobi_trudi,
+    char_spec,
+    weyl_denominator_product,
+)
 from flc.polyring import (
     A,
     ONE,
@@ -22,6 +29,7 @@ from flc.polyring import (
     OddCoefficient,
     OddHalfPower,
     Poly,
+    VarId,
     _Layout,
     _det_cofactor,
     _det_separable,
@@ -50,6 +58,7 @@ from flc.polyring import (
     pxb,
 )
 
+import oracles
 from conftest import _leibniz, nonzero_polys, polys
 
 x1, x2, x3 = px(1), px(2), px(3)
@@ -495,8 +504,10 @@ def test_exact_div_inverses_many_names_the_folds_term():
 
 def test_poly_halve():
     assert poly_halve(2 * x1 + 4 * a1) == x1 + 2 * a1
-    with pytest.raises(OddCoefficient):
+    with pytest.raises(OddCoefficient, match="coefficient 1 of x1 is odd"):
         poly_halve(x1 + x2)
+    with pytest.raises(OddCoefficient, match="coefficient -3 of 1 is odd"):
+        poly_halve(2 * x1 - 3)
 
 
 # ---------------------------------------------------------------------------
@@ -732,6 +743,52 @@ def test_rendering_is_stable_under_reordering():
     p = a1 + x1 + x2 + a2
     q = x2 + a2 + a1 + x1
     assert poly_to_str(p) == poly_to_str(q) == "x1 + x2 + a1 + a2"
+
+
+_RENDER_VARS = [VarId(kind, i) for kind in ("x", "xb", "s", "sb", "a") for i in (1, 2, 3)]
+
+
+@st.composite
+def render_polys(draw):
+    """Polynomials over every letter kind, so codes on both sides of the s
+    and a block bases occur, with exponents up to 70 and coefficients of
+    both signs."""
+    exps = st.integers(1, 3) | st.integers(4, 70)
+    monos = st.lists(st.tuples(st.sampled_from(_RENDER_VARS), exps), max_size=4)
+    coeffs = st.integers(-3, 3) | st.integers(-(10 ** 20), 10 ** 20)
+    terms = draw(st.lists(st.tuples(monos, coeffs), max_size=8))
+    return poly_sum(Poly({tuple((v.code(), e) for v, e in m): c}) for m, c in terms)
+
+
+@given(render_polys())
+@example(ZERO)
+@example(poly_const(-1))
+@example(x1 * a2 + 5)
+@example(ps(1) * psb(2) ** 3)
+def test_rendering_matches_the_reference(p):
+    """Text and JSON list the terms in the reference order, and the text
+    is the reference's, character for character."""
+    assert poly_to_str(p) == oracles.poly_str(p)
+    listed = [
+        (tuple(sorted((parse_var(v).code(), e) for v, e in t["monomial"].items())), t["coeff"])
+        for t in poly_to_json(p)["terms"]
+    ]
+    assert listed == [(m, p.terms[m]) for m in oracles.descending(p)]
+
+
+def test_rendering_a_large_character_peaks_under_2_mb():
+    """Rendering sorts one int per term and builds each letter piece once,
+    so its transient memory stays near the size of the text (about 0.2 MB
+    here).  A tuple sort key per term took this render past 4 MB."""
+    p = char_jacobi_trudi(char_spec(Group.OO, 3, (3, 3, 2)))
+    assert len(p.terms) == 9280
+    tracemalloc.start()
+    try:
+        poly_to_str(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 @given(polys())
