@@ -16,7 +16,6 @@ from .polyring import (
     Poly,
     VarId,
     eval_integer,
-    map_s_to_x,
     poly_determinant,
     poly_exact_div,
     poly_exact_div_inverses,
@@ -28,7 +27,7 @@ from .polyring import (
     poly_to_str,
 )
 from .series import TruncSeries, series_coeff, series_geometric, series_mul, series_one
-from .hfuncs import HKind, VarSpec, explicit_h, factorial_power, h, h_closed_one_pair
+from .hfuncs import HKind, VarSpec, factorial_power, h
 from .characters import (
     CharSpec,
     Group,
@@ -41,7 +40,6 @@ from .characters import (
     char_spec,
     character,
     dimension,
-    weyl_denominator_product,
     zero_a,
 )
 from .tableaux import (

@@ -100,7 +100,6 @@ __all__ = [
     "char_so_even",
     "char_raw_so_even",
     "character",
-    "weyl_denominator_product",
     "zero_a",
     "dimension",
 ]
@@ -226,14 +225,6 @@ def _denominator_factors(group: Group, n: int) -> list:
     y, yb, k = (ps, psb, 2) if group is Group.OO else (px, pxb, 1)
     z = {i: y(i) if group is Group.GL else y(i) ** k + yb(i) ** k for i in range(1, n + 1)}
     return _own_pair_factors(group, n) + [z[i] - z[j] for i, j in combinations(range(1, n + 1), 2)]
-
-
-def weyl_denominator_product(group: Group, n: int) -> Poly:
-    """The denominator alternant in product form (OO in the s-letters)."""
-    prod = ONE
-    for f in _denominator_factors(group, n):
-        prod = prod * f
-    return prod
 
 
 def _route_rows(group: Group, n: int, route: str, exps: Sequence[int]) -> list:

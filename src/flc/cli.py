@@ -125,6 +125,8 @@ def _parse_eval(pairs: Sequence[str]) -> dict:
         except ValueError:
             raise ValueError(f"--eval wants var=int, got {item!r}") from None
         var = parse_var(name)
+        if var.kind == "a" and var.index < 1:
+            raise ValueError(f"--eval assigns {var}, which is identically 0 (a-letters start at a1)")
         if var in out:
             raise ValueError(f"--eval assigns {var} more than once")
         out[var] = number
@@ -303,19 +305,22 @@ def _swap_pairs(p: Poly, i: int, j: int, barred: bool) -> Poly:
     return poly_substitute(p, mapping)
 
 
-def _check_symmetry(group: Group, max_part: int) -> bool:
-    n = 2
+def _check_symmetry(group: Group, max_rank: int, max_part: int) -> bool:
+    """Weyl invariance at every rank 2..max_rank, on the shapes (2, 1)
+    and (2, 2) (parts capped at max_part) padded to the rank: every
+    adjacent swap x_i <-> x_(i+1), and for the barred groups x_1 <-> xb_1,
+    which with the swaps generate every signed permutation."""
     barred = group is not Group.GL
-    lam_full = make_partition([min(2, max_part), min(1, max_part)], n)
-    specs = [lam_full, make_partition([min(2, max_part)] * n, n)]
-    for lam in specs:
-        p = char_jacobi_trudi(char_spec(group, n, lam))
-        if _swap_pairs(p, 1, 2, barred) != p:
-            return False
-        if barred:
-            swapped = poly_substitute(p, {X(1): pxb(1), XB(1): px(1)})
-            if poly_reduce_inverses(swapped) != p:
+    two, one = min(2, max_part), min(1, max_part)
+    for n in range(2, max_rank + 1):
+        for parts in ([two, one], [two, two]):
+            p = char_jacobi_trudi(char_spec(group, n, make_partition(parts, n)))
+            if any(_swap_pairs(p, i, i + 1, barred) != p for i in range(1, n)):
                 return False
+            if barred:
+                swapped = poly_substitute(p, {X(1): pxb(1), XB(1): px(1)})
+                if poly_reduce_inverses(swapped) != p:
+                    return False
     return True
 
 
@@ -368,7 +373,7 @@ def _verify_checks(
                 (f"recurrence[{name}]", lambda g=g: _check_recurrence(g, max_rank, max_part))
             )
             checks.append(
-                (f"symmetry[{name}]", lambda g=g: _check_symmetry(g, max_part))
+                (f"symmetry[{name}]", lambda g=g: _check_symmetry(g, max_rank, max_part))
             )
         checks.append(
             (f"denominator[{name}]", lambda g=g: _check_denominator(g, max_rank))

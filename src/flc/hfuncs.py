@@ -48,32 +48,9 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .polyring import (
-    ONE,
-    ZERO,
-    Poly,
-    VarId,
-    X,
-    XB,
-    map_s_to_x,
-    pa,
-    poly_exact_div,
-    poly_reduce_inverses,
-    poly_var,
-    px,
-    pxb,
-    ps,
-    psb,
-)
+from .polyring import ONE, ZERO, Poly, VarId, pa, poly_reduce_inverses, poly_var, px, pxb
 
-__all__ = [
-    "HKind",
-    "VarSpec",
-    "factorial_power",
-    "h",
-    "h_closed_one_pair",
-    "explicit_h",
-]
+__all__ = ["HKind", "VarSpec", "factorial_power", "h"]
 
 
 # Bound of every lru_cache here and in characters.  The default
@@ -126,11 +103,6 @@ class VarSpec:
 
     def width(self) -> int:
         return len(self.singles) if self.kind is HKind.GL else len(self.pairs)
-
-
-def gl_vars(*indices: int) -> tuple:
-    """Convenience: the unbarred singles (x_i for each index)."""
-    return tuple(X(i) for i in indices)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -225,93 +197,3 @@ def h(spec: VarSpec, m: int) -> Poly:
         if m == 0:
             return ONE
     return _a_loop(list(_a_free_series(spec, m)), spec.width() + m - 1, spec.shift)[m]
-
-
-def h_closed_one_pair(kind: HKind, i: int, m: int, shift: int = 0) -> Poly:
-    """Closed form of h_m on a single pair (or single variable for GL)."""
-    if kind is HKind.EOD:
-        if m <= 0:
-            return ZERO
-        return factorial_power(X(i), m, shift) - factorial_power(XB(i), m, shift)
-    if m < 0:
-        return ZERO
-    if m == 0:
-        return ONE
-    if kind is HKind.GL:
-        return factorial_power(X(i), m, shift)
-    if kind is HKind.SP:
-        numer = px(i) * factorial_power(X(i), m, shift) - pxb(i) * factorial_power(XB(i), m, shift)
-        return poly_reduce_inverses(poly_exact_div(numer, px(i) - pxb(i)))
-    if kind is HKind.OO:
-        s, sb = ps(i), psb(i)
-        numer = s * factorial_power(s * s, m, shift) - sb * factorial_power(sb * sb, m, shift)
-        return map_s_to_x(poly_exact_div(numer, s - sb))
-    if kind is HKind.EO:
-        return factorial_power(X(i), m, shift) + factorial_power(XB(i), m, shift)
-    raise ValueError(f"unknown kind {kind}")
-
-
-def _z(i: int) -> Poly:
-    """z_{2k-1} = x_k, z_{2k} = xb_k."""
-    k = (i + 1) // 2
-    return px(k) if i % 2 else pxb(k)
-
-
-def _word_sum(n2: int, m: int, weight, lo_min: int = 1, first: int = 1) -> Poly:
-    """Sum over weakly increasing words (i_first <= ... <= i_m, letters
-    lo_min..n2) of prod_j weight(i_j, j)."""
-    memo: dict = {}
-
-    def rec(j: int, lo: int) -> Poly:
-        if j > m:
-            return ONE
-        key = (j, lo)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = ZERO
-        for i in range(lo, n2 + 1):
-            total = total + weight(i, j) * rec(j + 1, i)
-        memo[key] = total
-        return total
-
-    return rec(first, lo_min)
-
-
-def explicit_h(kind: HKind, n: int, m: int) -> Poly:
-    """Direct weighted-word expansion of h_m in n variables/pairs.
-
-    Implemented for GL, SP, OO and EO; agrees with :func:`h` on the full
-    (unshifted) variable content of rank n.
-    """
-    if m < 0:
-        return ZERO
-    if kind is HKind.GL:
-        return _word_sum(n, m, lambda i, k: px(i) + pa(i + k - 1))
-    if kind is HKind.SP:
-        return poly_reduce_inverses(
-            _word_sum(2 * n, m, lambda i, j: _z(i) + pa(i - n + j - 1))
-        )
-    if kind is HKind.OO:
-        body = _word_sum(2 * n, m, lambda i, j: _z(i) + pa(i - n + j))
-        if m == 0:
-            return body
-        tail = _word_sum(2 * n, m - 1, lambda i, j: _z(i) + pa(i - n + j))
-        return poly_reduce_inverses(body + (ONE - pa(m + n)) * tail)
-    if kind is HKind.EO:
-        if m == 0:
-            return ONE
-
-        def sp_weight(i, j):
-            return _z(i) + pa(i - n + j - 1)
-
-        # Words of k letters all 1 (x_1) or all 2 (xb_1), then letters >= 3.
-        total = _word_sum(2 * n, m, sp_weight, 3)  # no prefix at all
-        pref_x, pref_xb = ONE, ONE
-        for k in range(1, m + 1):
-            ak = pa(k + 1 - n)
-            pref_x = pref_x * (px(1) + ak)
-            pref_xb = pref_xb * (pxb(1) + ak)
-            total = total + (pref_x + pref_xb) * _word_sum(2 * n, m, sp_weight, 3, k + 1)
-        return poly_reduce_inverses(total)
-    raise ValueError(f"explicit_h is not defined for kind {kind}")

@@ -2,11 +2,10 @@
 
 The variable universe is fixed.  For each index i >= 1 there is a letter
 x_i together with a formal companion xb_i ("x-bar", printed ``xb``), and
-a square-root letter s_i with companion sb_i (s_i^2 stands for x_i, see
-:func:`map_s_to_x`).  On top of that sits a shift alphabet a_1, a_2, ...
-An a_j with j <= 0 is identically zero: constructors annihilate any term
-that would mention it, so such a variable never appears in a stored
-monomial.
+a square-root letter s_i with companion sb_i (s_i^2 stands for x_i).
+On top of that sits a shift alphabet a_1, a_2, ...  An a_j with j <= 0
+is identically zero: constructors annihilate any term that would
+mention it, so such a variable never appears in a stored monomial.
 
 Monomials are compared graded-lexicographically: first by total degree,
 ties broken by the canonical variable sequence
@@ -55,7 +54,6 @@ __all__ = [
     "poly_halve",
     "poly_determinant",
     "poly_substitute",
-    "map_s_to_x",
     "eval_integer",
     "poly_to_str",
     "poly_to_json",
@@ -65,7 +63,6 @@ __all__ = [
     "DivisionByZero",
     "OddCoefficient",
     "NonSquare",
-    "OddHalfPower",
     "MissingAssignment",
 ]
 
@@ -84,10 +81,6 @@ class OddCoefficient(ArithmeticError):
 
 class NonSquare(ValueError):
     """poly_determinant was given a non-square matrix."""
-
-
-class OddHalfPower(ArithmeticError):
-    """map_s_to_x hit an odd power of an s-variable."""
 
 
 class MissingAssignment(KeyError):
@@ -441,9 +434,8 @@ class _Layout:
         factors (``_minors(rows, paired=True)``), the ratio routes'
         through their packed tables (``_separable_table``) and
         ``_det_separable``; so do the Weyl quotients
-        (``_weyl_quotient``), ``group_tableau_sum``,
-        ``poly_exact_div_inverses`` and ``_det_cofactor(rows,
-        paired=True)``, which the tests hold route determinants to.
+        (``_weyl_quotient``), ``group_tableau_sum`` (through
+        ``for_products``) and ``poly_exact_div_inverses``.
 
     Every field is ``degree.bit_length() + 1`` bits wide.  A monomial is
     the int sum of e_k * 2^(shift of field k), with a signed digit e_k in
@@ -542,11 +534,11 @@ class _Layout:
         return cls(codes, degree, paired)
 
     @classmethod
-    def for_products(cls, groups: Iterable[Iterable[Poly]], paired: bool = False) -> Tuple["_Layout", list]:
-        """The layout ``for_rows`` gives the groups, and every group's
-        factors packed under it, in order."""
+    def for_products(cls, groups: Iterable[Iterable[Poly]]) -> Tuple["_Layout", list]:
+        """The paired layout ``for_rows`` gives the groups, and every
+        group's factors packed under it, in order."""
         groups = [list(g) for g in groups]
-        layout = cls.for_rows(groups, paired)
+        layout = cls.for_rows(groups, paired=True)
         return layout, [[layout.pack_terms(f) for f in g] for g in groups]
 
     @staticmethod
@@ -883,8 +875,8 @@ def _maximal_minors(rows: Sequence[Mapping[int, dict]], layout: _Layout) -> dict
     The ratio routes pass a coefficient table, whose rows are its columns
     C[j] keyed by exponent (``_det_separable``, ``_ratio_character``);
     Jacobi-Trudi's factors P and Q^T, keyed by their inner index, and
-    ``_det_cofactor``'s square matrix, keyed by column index, come in as
-    ``Poly`` rows through ``_minors``.
+    ``poly_determinant``'s square matrix, keyed by column index, come in
+    as ``Poly`` rows through ``_minors``.
     """
     minors: dict = {(): {0: 1}}
     for j, row in enumerate(rows):
@@ -965,21 +957,11 @@ def _minors(rows: Sequence[Mapping], paired: bool = False) -> dict:
     return {cols: layout.to_poly(m) for cols, m in _maximal_minors(packed, layout).items()}
 
 
-def _det_cofactor(rows: Sequence[Sequence[Poly]], paired: bool = False) -> Poly:
-    """The determinant of a square matrix: its one maximal minor
-    (``_minors``), with row i keyed by column index, so the minor is
-    keyed by every column; a matrix with no nonzero maximal minor gives 0.
-
-    With ``paired`` the determinant comes out reduced, the form the tests
-    compare the routes' determinants in; ``poly_determinant``, the one
-    caller in the library, keeps the free ring's formal layout.
-    """
-    return _minors([dict(enumerate(row)) for row in rows], paired).get(tuple(range(len(rows))), ZERO)
-
-
 def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant of a square matrix of polynomials, by Laplace expansion
-    at every size (see ``_det_cofactor``).
+    """Determinant of a square matrix of polynomials: its one maximal
+    minor (``_minors``, a Laplace expansion at every size, on the formal
+    layout), with row i keyed by column index; a matrix with no nonzero
+    maximal minor gives 0.
 
     The expansion runs on packed exponents under one layout whose degree
     bound is the sum over rows of each row's largest entry degree.  Every
@@ -993,7 +975,7 @@ def poly_determinant(rows: Sequence[Sequence[Poly]]) -> Poly:
     for row in rows:
         if len(row) != k:
             raise NonSquare(f"matrix is {k} rows but a row has {len(row)} entries")
-    return _det_cofactor(rows)
+    return _minors([dict(enumerate(row)) for row in rows]).get(tuple(range(k)), ZERO)
 
 
 def poly_substitute(p: Poly, mapping: Mapping[VarId, "Poly | int"]) -> Poly:
@@ -1018,34 +1000,6 @@ def poly_substitute(p: Poly, mapping: Mapping[VarId, "Poly | int"]) -> Poly:
             yield term
 
     return poly_sum(images())
-
-
-def map_s_to_x(p: Poly) -> Poly:
-    """Rewrite half powers: s_i^2 -> x_i and sb_i^2 -> xb_i.
-
-    The s-letters realise square roots of mutually inverse values
-    (s_i^2 = x_i, sb_i^2 = xb_i with x_i*xb_i = 1 at the half-power
-    level), so a matched s_i*sb_i pair cancels to 1.  Pairs are cancelled
-    and like monomials collected first; an s-power that is still odd
-    after that raises OddHalfPower.
-    """
-    # Pass 1: cancel matched inverse pairs within each monomial, collect.
-    # Pass 2: the surviving s-powers must be even; halve them into x-letters.
-    out: dict = {}
-    for m, c in poly_reduce_inverses(p).terms.items():
-        new: dict = {}
-        for code, exp in m:
-            if _S_BASE <= code < _A_NEG_LOW:
-                if exp % 2:
-                    raise OddHalfPower(
-                        f"odd power {_var_name(code)}^{exp} cannot be mapped to x"
-                    )
-                code = code - _S_BASE  # s_i -> x_i, sb_i -> xb_i
-                exp //= 2
-            new[code] = new.get(code, 0) + exp
-        mono = tuple(sorted((k, e) for k, e in new.items() if e))
-        out[mono] = out.get(mono, 0) + c
-    return _poly(_strip(out))
 
 
 def eval_integer(p: Poly, point: Mapping[VarId, int]) -> int:

@@ -60,8 +60,8 @@ weighted_tableaux (the flc tableaux listing) yields each tableau of the
 walk with its coefficient and weight() as the walk finds it, so a long
 listing is never held whole.  weight() stays the literal Poly product of
 the cell factors, matched pairs kept, and with enumerate_tableaux and
-tab_stats, is_diff_tableau and so_even_coefficient it is the per-tableau
-oracle the tests hold the transfer sum to.
+tab_stats it is the per-tableau oracle the tests hold the transfer sum
+to; the tests write each group's per-tableau coefficient from tab_stats.
 """
 
 from __future__ import annotations
@@ -88,8 +88,6 @@ __all__ = [
     "tableau_sum",
     "diff_tableau_sum",
     "so_even_tableau_sum",
-    "is_diff_tableau",
-    "so_even_coefficient",
     "tableau_to_text",
     "tableau_to_json",
 ]
@@ -283,24 +281,6 @@ def tab_stats(t: Tableau, group: Group) -> TabStats:
     return TabStats(zeta=z, bar=_bar_count(t))
 
 
-def is_diff_tableau(t: Tableau, n: int) -> bool:
-    """First column reads k or k~ at every level k = 1..n."""
-    if len(t.rows) != n:
-        return False
-    return all(t.rows[k - 1][0].k == k for k in range(1, n + 1))
-
-
-def so_even_coefficient(t: Tableau, plus: bool) -> int:
-    """Multiplicity of an even-orthogonal tableau in the so(2n) plus or
-    minus sum: 2^(zeta-1) when zeta >= 1, else 1 or 0 by the parity of
-    the barred first-column entries."""
-    z = _zeta_raw(t)
-    if z >= 1:
-        return 1 << (z - 1)
-    sign = (-1) ** _bar_count(t)
-    return (1 + sign) // 2 if plus else (1 - sign) // 2
-
-
 _Rule = Callable[[int, int, int], int]
 
 
@@ -319,11 +299,12 @@ def _coefficient_rules(group: Group, lam: tuple) -> List[Tuple[int, _Rule]]:
                              else 1: 2^zeta
         EO_DIFF              (-1)^[row k opens with k~], 0 unless row k
                              opens with k or k~: (-1)^bar on the
-                             is_diff_tableau set
-        SO_EVEN_PLUS/MINUS   (2^zeta +/- [zeta = 0] (-1)^bar) / 2, which is
-                             so_even_coefficient, when lambda has n nonzero
-                             parts; otherwise there is no split and the
-                             plain o(2n) rule 2^zeta applies
+                             tableaux whose first column reads k or k~
+                             at every level k
+        SO_EVEN_PLUS/MINUS   (2^zeta +/- [zeta = 0] (-1)^bar) / 2 when
+                             lambda has n nonzero parts; otherwise there
+                             is no split and the plain o(2n) rule 2^zeta
+                             applies
 
     Raises InvalidShape for EO_DIFF with fewer than n nonzero parts.
     """
@@ -488,12 +469,9 @@ def group_tableau_sum(group: Group, n: int, lam_parts: Iterable[int]) -> Poly:
     shape = tuple(p for p in lam if p)
     alphabet = _alphabet(group, n)
     layout, packed = _Layout.for_products(
-        (
-            [_cell_weight(e, i, j, group, n) for e in alphabet]
-            for i, w in enumerate(shape, start=1)
-            for j in range(1, w + 1)
-        ),
-        paired=True,
+        [_cell_weight(e, i, j, group, n) for e in alphabet]
+        for i, w in enumerate(shape, start=1)
+        for j in range(1, w + 1)
     )
     cells = iter(packed)
     levels = [list(islice(cells, w)) for w in shape]

@@ -17,10 +17,11 @@ from flc.characters import (
     partition_length,
     shapes,
 )
-from flc.hfuncs import HKind, VarSpec, explicit_h, gl_vars, h
+from flc.hfuncs import HKind, VarSpec, h
 from flc.latticepaths import enumerate_gl_tuples, lgv_signed_sum, tuple_to_tableau
 from flc.polyring import (
     ONE,
+    X,
     ZERO,
     pa,
     poly_determinant,
@@ -36,7 +37,6 @@ from flc.tableaux import (
     ZERO_ENTRY,
     diff_tableau_sum,
     enumerate_tableaux,
-    so_even_coefficient,
     so_even_tableau_sum,
     tab_stats,
     tableau_sum,
@@ -44,6 +44,7 @@ from flc.tableaux import (
 )
 
 import oracles
+from oracles import explicit_h, so_even_coefficient
 from test_characters import _denominator_product, _raw_denominator_matrix
 
 red = poly_reduce_inverses
@@ -72,7 +73,7 @@ def _tab(*rows):
 
 def _std_spec(kind: HKind, n: int) -> VarSpec:
     if kind is HKind.GL:
-        return VarSpec(kind, singles=gl_vars(*range(1, n + 1)))
+        return VarSpec(kind, singles=tuple(X(i) for i in range(1, n + 1)))
     return VarSpec(kind, pairs=tuple(range(1, n + 1)))
 
 
@@ -249,9 +250,9 @@ def test_criterion_5_recurrence_suite():
                 for i in range(1, j):
                     for m in range(0, 5):
                         if kind is HKind.GL:
-                            left = VarSpec(kind, singles=gl_vars(*range(i, j)))
-                            right = VarSpec(kind, singles=gl_vars(*range(i + 1, j + 1)))
-                            full = VarSpec(kind, singles=gl_vars(*range(i, j + 1)))
+                            left = VarSpec(kind, singles=tuple(X(k) for k in range(i, j)))
+                            right = VarSpec(kind, singles=tuple(X(k) for k in range(i + 1, j + 1)))
+                            full = VarSpec(kind, singles=tuple(X(k) for k in range(i, j + 1)))
                             factor = px(i) - px(j)
                         else:
                             left = VarSpec(kind, pairs=tuple(range(i, j)))

@@ -32,7 +32,6 @@ from flc.characters import (
     make_partition,
     partition_length,
     shapes,
-    weyl_denominator_product,
     zero_a,
 )
 from flc.hfuncs import _CACHE_SIZE, factorial_power, h
@@ -45,10 +44,8 @@ from flc.polyring import (
     XB,
     ZERO,
     _Layout,
-    _det_cofactor,
     _det_separable,
     _separable_table,
-    map_s_to_x,
     pa,
     poly_determinant,
     poly_exact_div_inverses_many,
@@ -63,6 +60,7 @@ from flc.polyring import (
 )
 
 import oracles
+from oracles import det_reduced, map_s_to_x, weyl_denominator_product
 from conftest import _leibniz, polys
 
 red = poly_reduce_inverses
@@ -166,7 +164,7 @@ def _jacobi_trudi_by_laplace(group, n, lam):
         [h(_flag_spec(kind, i, n), lam[j - 1] - j + i) for j in range(1, n + 1)]
         for i in range(1, n + 1)
     ]
-    return _det_cofactor(rows, paired=True)
+    return det_reduced(rows)
 
 
 @pytest.mark.parametrize("group", _JT_GROUPS, ids=lambda g: g.value)
@@ -365,7 +363,7 @@ def test_inexact_numerator_is_refused(group, route):
     one extra term, x1*a1, it must raise, never return a quotient."""
     n, lam = 3, (2, 1, 0)
     exps = [lam[j] + n - (j + 1) for j in range(n)]
-    numer = _det_cofactor(flc.characters._route_rows(group, n, route, exps), paired=True)
+    numer = det_reduced(flc.characters._route_rows(group, n, route, exps))
     factors = _denominator_factors(_factor_group(group, route), n)
     in_s = group is Group.OO and route == "raw"
     quot = poly_exact_div_inverses_many(numer, factors)
@@ -389,10 +387,10 @@ def test_route_determinants_by_cauchy_binet_equal_the_cofactor_expansion(group, 
             [lam[j] + n - (j + 1) for j in range(n)] for lam in shapes(n, 2)
         ]:
             rows = flc.characters._route_rows(group, n, route, exps)
-            layout, _ = _Layout.for_products(rows, paired=True)
+            layout = _Layout.for_rows(rows, paired=True)
             det = _det_separable(*_separable_table(rows, layout), layout)
             want = poly_reduce_inverses(_leibniz(rows))
-            assert layout.to_poly(det) == _det_cofactor(rows, paired=True) == want
+            assert layout.to_poly(det) == det_reduced(rows) == want
 
 
 def _clear_ratio_caches():
@@ -449,7 +447,7 @@ def test_route_refuses_a_column_that_breaks_the_weyl_symmetry(monkeypatch, group
             char(spec)
         monkeypatch.setattr(flc.characters, name, broken)
         rows = flc.characters._route_rows(group, 2, route, [2, 1])
-        _separable_table(rows, _Layout.for_products(rows, paired=True)[0])  # row-separable still
+        _separable_table(rows, _Layout.for_rows(rows, paired=True))  # row-separable still
         with pytest.raises(ValueError, match="Weyl symmetry"):
             char(spec)
     finally:
@@ -494,7 +492,7 @@ def _ratio_by_whole_division(group, route, n, lam):
     pairing by the denominator's product-form factors."""
     exps = [lam[j] + n - (j + 1) for j in range(n)]
     rows = flc.characters._route_rows(group, n, route, exps)
-    numer = _det_cofactor(rows, paired=True)
+    numer = det_reduced(rows)
     assert numer == poly_reduce_inverses(_leibniz(rows))
     out = poly_exact_div_inverses_many(numer, _denominator_factors(_factor_group(group, route), n))
     if group is Group.EO and lam[-1] == 0:

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import flc.characters
+import flc.cli
 import flc.latticepaths
 import flc.tableaux
 from flc.characters import Group, char_jacobi_trudi, char_spec
@@ -98,6 +99,18 @@ def test_char_eval_assigning_a_variable_twice_exits_one(capsys, pairs):
     assert code == 1
     assert out == ""
     assert f"error: --eval assigns {pairs[0].split('=')[0]} more than once" in err
+
+
+@pytest.mark.parametrize("pair", ["a0=5", "a-2=7"])
+def test_char_eval_of_a_zero_a_letter_exits_one(capsys, pair):
+    """Every a_j with j <= 0 is 0 by definition, so assigning it a value
+    contradicts the ring rather than being ignored."""
+    code, out, err = run_cli(
+        capsys, "char", "--group", "gl", "--rank", "1", "--lambda", "1", "--eval", pair
+    )
+    assert code == 1
+    assert out == ""
+    assert f"error: --eval assigns {pair.split('=')[0]}, which is identically 0" in err
 
 
 def test_char_json_round_trip(capsys):
@@ -444,6 +457,24 @@ def test_verify_detects_a_skewed_so_even_plus_weight(capsys, monkeypatch):
     lines = out.strip().splitlines()
     assert "FAIL so-even-decomposition" in lines
     assert "PASS route-agreement[o-even]" in lines
+
+
+@pytest.mark.parametrize("max_rank, verdict", [("3", "FAIL"), ("2", "PASS")])
+def test_verify_symmetry_checks_every_rank_up_to_max_rank(capsys, monkeypatch, max_rank, verdict):
+    """Negative control: a character with a stray x3 at rank >= 3 is not
+    symmetric, and the symmetry check must see it exactly when
+    --max-rank reaches 3."""
+    true_char = flc.cli.char_jacobi_trudi
+
+    def skewed(spec):
+        p = true_char(spec)
+        return p + px(3) if spec.rank >= 3 else p
+
+    monkeypatch.setattr(flc.cli, "char_jacobi_trudi", skewed)
+    _, out, _ = run_cli(
+        capsys, "verify", "--groups", "gl", "--max-rank", max_rank, "--max-part", "2"
+    )
+    assert f"{verdict} symmetry[gl]" in out.splitlines()
 
 
 @pytest.mark.usefixtures("flipped_own_pair_factor")

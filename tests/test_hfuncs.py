@@ -11,11 +11,8 @@ from flc.hfuncs import (
     VarSpec,
     _a_free_series,
     _elementary,
-    explicit_h,
     factorial_power,
-    gl_vars,
     h,
-    h_closed_one_pair,
 )
 from flc.polyring import (
     ONE,
@@ -41,6 +38,8 @@ from flc.series import (
     series_sub,
 )
 
+from oracles import explicit_h, h_closed_one_pair
+
 red = poly_reduce_inverses
 
 x1, x2, x3 = px(1), px(2), px(3)
@@ -55,7 +54,7 @@ def pair_spec(kind, n, shift=0):
 
 
 def gl_spec(n, shift=0):
-    return VarSpec(HKind.GL, singles=gl_vars(*range(1, n + 1)), shift=shift)
+    return VarSpec(HKind.GL, singles=tuple(X(i) for i in range(1, n + 1)), shift=shift)
 
 
 def spec_for(kind, n, shift=0):
@@ -291,9 +290,9 @@ def test_oo_dummy_parameter_absent(n, m):
 def test_recurrence(kind, pair, m):
     i, j = pair
     if kind is HKind.GL:
-        left = VarSpec(kind, singles=gl_vars(*range(i, j)))
-        right = VarSpec(kind, singles=gl_vars(*range(i + 1, j + 1)))
-        full = VarSpec(kind, singles=gl_vars(*range(i, j + 1)))
+        left = VarSpec(kind, singles=tuple(X(k) for k in range(i, j)))
+        right = VarSpec(kind, singles=tuple(X(k) for k in range(i + 1, j + 1)))
+        full = VarSpec(kind, singles=tuple(X(k) for k in range(i, j + 1)))
         factor = px(i) - px(j)
     else:
         left = VarSpec(kind, pairs=tuple(range(i, j)))

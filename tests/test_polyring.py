@@ -14,7 +14,6 @@ from flc.characters import (
     _denominator_factors,
     char_jacobi_trudi,
     char_spec,
-    weyl_denominator_product,
 )
 from flc.polyring import (
     A,
@@ -27,16 +26,13 @@ from flc.polyring import (
     MissingAssignment,
     NonSquare,
     OddCoefficient,
-    OddHalfPower,
     Poly,
     VarId,
     _Layout,
-    _det_cofactor,
     _det_separable,
     _minors,
     _separable_table,
     eval_integer,
-    map_s_to_x,
     pa,
     parse_var,
     poly_const,
@@ -59,6 +55,7 @@ from flc.polyring import (
 )
 
 import oracles
+from oracles import OddHalfPower, det_reduced, map_s_to_x, weyl_denominator_product
 from conftest import _leibniz, nonzero_polys, polys
 
 x1, x2, x3 = px(1), px(2), px(3)
@@ -305,7 +302,7 @@ def test_paired_layout_equals_the_reduced_poly_arithmetic(factors):
     unpack, and compare with the reduced Poly arithmetic.  Exponents
     reach 70 on x and xb alike, so net exponents reach +-D."""
     red = poly_reduce_inverses
-    layout, groups = _Layout.for_products([[f] for f in factors], paired=True)
+    layout, groups = _Layout.for_products([[f] for f in factors])
     packed = [g[0] for g in groups]
     for f, pf in zip(factors, packed):
         assert layout.to_poly(pf) == red(f)
@@ -334,8 +331,8 @@ def test_to_poly_round_trips_on_both_sides_of_the_seam(name, paired):
     round trip gives p in a formal layout and p reduced modulo the
     pairing in a paired one."""
     p = _SEAM_CASES[name]
-    layout, ((packed,),) = _Layout.for_products([[p]], paired=paired)
-    assert layout.to_poly(packed) == (poly_reduce_inverses(p) if paired else p)
+    layout = _Layout.for_rows([[p]], paired)
+    assert layout.to_poly(layout.pack_terms(p)) == (poly_reduce_inverses(p) if paired else p)
 
 
 def test_to_poly_offset_multiplies_every_monomial():
@@ -344,7 +341,7 @@ def test_to_poly_offset_multiplies_every_monomial():
     seam, with net exponents going negative in the pair fields."""
     p = _SEAM_CASES["mixed"]
     shift = xb1**2 * x2 * a2
-    layout, ((packed,), (packed_shift,)) = _Layout.for_products([[p], [shift]], paired=True)
+    layout, ((packed,), (packed_shift,)) = _Layout.for_products([[p], [shift]])
     (offset,) = packed_shift  # the one packed monomial
     assert layout.to_poly(packed, offset) == poly_reduce_inverses(p * shift)
 
@@ -363,7 +360,7 @@ def test_product_carries_no_cancelled_zeros(monkeypatch, n):
         true_mul_add(out, a, b, scale)
 
     factors = _denominator_factors(Group.SP, n)
-    layout, groups = _Layout.for_products([[f] for f in factors], paired=True)
+    layout, groups = _Layout.for_products([[f] for f in factors])
     monkeypatch.setattr(_Layout, "mul_add", staticmethod(spy))
     prod = layout.product(g[0] for g in groups)
     assert len(accumulators) == len(factors)
@@ -532,7 +529,7 @@ def test_determinant_equals_leibniz():
     zero_col = [[x1, ZERO], [xb1, ZERO]]
     for m in (_demo_matrix(), [[x1, ONE], [ONE, xb1]], [], [[x1 * xb1]], zero_row, zero_col, peel):
         assert poly_determinant(m) == _leibniz(m)
-    assert _det_cofactor([[x1 * xb1]], paired=True) == ONE
+    assert det_reduced([[x1 * xb1]]) == ONE
 
 
 def test_determinant_row_scaling():
@@ -628,14 +625,14 @@ def separable_matrices(draw):
 # x1*xb1 - 1 padding on one row only, against a zero table entry
 @example([[x1 * xb1 - ONE + a1, x1], [a1, x2]])
 def test_det_separable_equals_cofactor_and_leibniz(rows):
-    layout, _ = _Layout.for_products(rows, paired=True)
+    layout = _Layout.for_rows(rows, paired=True)
     got = layout.to_poly(_det_separable(*_separable_table(rows, layout), layout))
-    assert got == _det_cofactor(rows, paired=True) == poly_reduce_inverses(_leibniz(rows))
+    assert got == det_reduced(rows) == poly_reduce_inverses(_leibniz(rows))
 
 
 def test_det_separable_refuses_a_table_that_differs_by_row():
     rows = [[x1 + a1, x1 * x1], [x2 + a2, x2 * x2]]
-    layout, _ = _Layout.for_products(rows, paired=True)
+    layout = _Layout.for_rows(rows, paired=True)
     with pytest.raises(ValueError, match="coefficient table of row 2 differs from row 1's"):
         _separable_table(rows, layout)
 
@@ -649,7 +646,7 @@ def test_det_separable_refuses_a_table_that_differs_by_row():
     ],
 )
 def test_det_separable_refuses_another_pairs_letter(rows, name):
-    layout, _ = _Layout.for_products(rows, paired=True)
+    layout = _Layout.for_rows(rows, paired=True)
     with pytest.raises(ValueError, match=f"{name}, outside its own pair"):
         _separable_table(rows, layout)
 

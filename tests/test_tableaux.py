@@ -36,8 +36,6 @@ from flc.tableaux import (
     diff_tableau_sum,
     enumerate_tableaux,
     group_tableau_sum,
-    is_diff_tableau,
-    so_even_coefficient,
     so_even_tableau_sum,
     tab_stats,
     tableau_sum,
@@ -48,6 +46,7 @@ from flc.tableaux import (
 )
 
 import oracles
+from oracles import is_diff_tableau, so_even_coefficient
 
 E = Entry
 BASE_GROUPS = (Group.GL, Group.SP, Group.OO, Group.EO)
