@@ -1,14 +1,19 @@
 """Command-line interface: characters, tableau listings, verification, dimensions.
 
-Exit codes: 0 success, 1 usage or input error, 2 verification failure or
-method disagreement.
+Every ``--format json`` document is printed as it is produced, one piece
+at a time, with the bytes of ``json.dumps(document, indent=2)``.
+
+Exit codes: 0 success, 1 usage or input error (or stdout closed before
+the output was written), 2 verification failure or method disagreement.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from itertools import chain, islice
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .characters import (
@@ -38,6 +43,7 @@ from .polyring import (
     Poly,
     X,
     XB,
+    _json_terms,
     parse_var,
     poly_reduce_inverses,
     poly_substitute,
@@ -104,11 +110,22 @@ def _parse_group(name: str) -> Group:
         ) from None
 
 
+def _parse_int(text: str) -> int:
+    """ASCII digits with an optional leading "-": int() alone also reads
+    "1_0", "+1", " 1" and non-ASCII digits such as "\uff11"."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
+
+
+_parse_int.__name__ = "int"  # argparse's message names the type: "invalid int value: ..."
+
+
 def _parse_lambda(text: str, rank: int) -> tuple:
     if rank < 1:
         raise ValueError("rank must be >= 1")
     try:
-        parts = [int(p) for p in text.split(",") if p.strip() != ""]
+        parts = [_parse_int(p.strip()) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise ValueError(f"--lambda wants a comma-separated integer list, got {text!r}")
     return make_partition(parts, rank)
@@ -117,11 +134,9 @@ def _parse_lambda(text: str, rank: int) -> tuple:
 def _parse_eval(pairs: Sequence[str]) -> dict:
     out = {}
     for item in pairs:
-        name, eq, value = item.partition("=")
+        name, _, value = item.partition("=")
         try:
-            if not eq or not value.lstrip("-").isdigit():
-                raise ValueError
-            number = int(value)  # isdigit also passes "--5" and "²"
+            number = _parse_int(value)  # "" when item has no "="
         except ValueError:
             raise ValueError(f"--eval wants var=int, got {item!r}") from None
         var = parse_var(name)
@@ -150,16 +165,43 @@ def _method_character(group: Group, n: int, lam: tuple, method: str) -> Poly:
     return char_raw_so_even(spec)
 
 
-def _emit(fmt: str, doc: Callable[[], Iterable[str]], text: Callable[[], Iterable[str]]) -> None:
-    """Print the JSON document's lines or the text's, building only the
-    one asked for.  Lines are printed as they are produced."""
-    for line in doc() if fmt == "json" else text():
-        print(line)
+_ENCODE = json.JSONEncoder(indent=2).encode
 
 
-def _json(doc: dict) -> List[str]:
-    """A whole JSON document as ``_emit`` prints it."""
-    return [json.dumps(doc, indent=2)]
+def _json_text(value, pad: str = "\n") -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2)``, piece by piece.
+
+    A dict is written key by key (its keys are str), and a callable value
+    is called when the writer reaches it.  An iterator stands for a list
+    and is consumed as it is written; its items are plain JSON values,
+    encoded 64 at a time by one shared encoder, whose setup per call would
+    otherwise dominate.  ``pad`` is a newline and the indent of the value's
+    own line."""
+    if callable(value):
+        value = value()
+    if isinstance(value, dict):
+        sep = "{"
+        for key, item in value.items():
+            yield f"{sep}{pad}  {_ENCODE(key)}: "
+            yield from _json_text(item, pad + "  ")
+            sep = ","
+        yield "{}" if sep == "{" else pad + "}"
+    elif isinstance(value, Iterator):
+        sep = "["
+        for batch in iter(lambda: list(islice(value, 64)), []):
+            yield sep + _ENCODE(batch)[1:-2].replace("\n", pad)  # less its "[" and "\n]"
+            sep = ","
+        yield "[]" if sep == "[" else pad + "]"
+    else:
+        yield _ENCODE(value).replace("\n", pad)
+
+
+def _emit(fmt: str, doc: dict, text: Callable[[], Iterable[str]]) -> None:
+    """Print the JSON document or the text's lines, each piece as it is
+    produced.  The document's big parts are iterators, so only the format
+    asked for is built."""
+    pieces = chain(_json_text(doc), ["\n"]) if fmt == "json" else (f"{line}\n" for line in text())
+    sys.stdout.writelines(pieces)
 
 
 def cmd_char(args: argparse.Namespace) -> int:
@@ -184,18 +226,12 @@ def cmd_char(args: argparse.Namespace) -> int:
     head = {"group": _CANONICAL[group], "rank": args.rank, "lambda": list(lam)}
     if len(results) == 1:
         (p,) = results.values()
-        _emit(args.format, lambda: _json({**head, "polynomial": poly_to_json(p)}), lambda: [poly_to_str(p)])
+        _emit(args.format, {**head, "polynomial": {"terms": _json_terms(p)}}, lambda: [poly_to_str(p)])
         return 0
     agree = len(set(results.values())) == 1
     _emit(
         args.format,
-        lambda: _json(
-            {
-                **head,
-                "methods": {m: poly_to_json(p) for m, p in results.items()},
-                "agree": agree,
-            }
-        ),
+        {**head, "methods": {m: {"terms": _json_terms(p)} for m, p in results.items()}, "agree": agree},
         lambda: [*(f"{m}: {poly_to_str(p)}" for m, p in results.items()), "AGREE" if agree else "DISAGREE"],
     )
     return 0 if agree else 2
@@ -206,46 +242,25 @@ def cmd_tableaux(args: argparse.Namespace) -> int:
     lam = _parse_lambda(args.lam, args.rank)
     # The sum first: it raises InvalidShape before any line is printed.
     total = group_tableau_sum(group, args.rank, lam)
-    listed = weighted_tableaux(group, args.rank, lam)
+    count = 0
 
-    def doc() -> Iterator[str]:
-        # The json.dumps(indent=2) text of the whole document, streamed:
-        # each tableau is dumped as it is yielded, indented to its depth,
-        # and followed by a comma once the next one exists.
-        head = {"group": _CANONICAL[group], "rank": args.rank, "lambda": list(lam)}
-        items = (
-            json.dumps(
-                {
-                    "rows": tableau_to_json(t),
-                    "weight": poly_to_json(w),
-                    "zeta": st.zeta,
-                    "bar": st.bar,
-                    "coeff": c,
-                },
-                indent=2,
-            ).replace("\n", "\n    ")
-            for t, c, w in listed
-            for st in [tab_stats(t, group)]
-        )
-        opening = json.dumps(head, indent=2)[:-2] + ',\n  "tableaux": ['
-        count = 0
-        for count, item in enumerate(items, start=1):
-            if count == 1:
-                yield opening
-            else:
-                yield f"    {last},"
-            last = item
-        if count:
-            yield f"    {last}"
-            yield "  ],"
-        else:
-            yield opening + "],"
-        yield json.dumps({"count": count, "sum": poly_to_json(total)}, indent=2)[2:]
+    def listed() -> Iterator[tuple]:
+        nonlocal count
+        for count, (t, c, w) in enumerate(weighted_tableaux(group, args.rank, lam), start=1):
+            yield t, c, w, tab_stats(t, group)
+
+    doc = {
+        "group": _CANONICAL[group], "rank": args.rank, "lambda": list(lam),
+        "tableaux": (
+            {"rows": tableau_to_json(t), "weight": poly_to_json(w), "zeta": st.zeta, "bar": st.bar, "coeff": c}
+            for t, c, w, st in listed()
+        ),
+        "count": lambda: count,  # read once the listing is written
+        "sum": {"terms": _json_terms(total)},
+    }
 
     def text() -> Iterator[str]:
-        count = 0
-        for count, (t, c, w) in enumerate(listed, start=1):
-            st = tab_stats(t, group)
+        for t, c, w, st in listed():
             yield f"# {count}"
             yield tableau_to_text(t) if t.rows else "(empty)"
             yield f"weight = {poly_to_str(w)}"
@@ -419,14 +434,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     _emit(
         args.format,
-        lambda: _json(
-            {
-                "max_rank": args.max_rank,
-                "max_part": args.max_part,
-                "checks": [{"name": name, "ok": ok} for name, ok in outcomes],
-                "ok": not failed,
-            }
-        ),
+        {
+            "max_rank": args.max_rank,
+            "max_part": args.max_part,
+            "checks": [{"name": name, "ok": ok} for name, ok in outcomes],
+            "ok": not failed,
+        },
         lambda: [*(f"{'PASS' if ok else 'FAIL'} {name}" for name, ok in outcomes), summary],
     )
     return 0 if not failed else 2
@@ -441,7 +454,7 @@ def _build_parser() -> _Parser:
 
     def common(p: _Parser) -> None:
         p.add_argument("--group", required=True, help=f"{', '.join(_CANONICAL.values())} (codes {'/'.join(_ALIASES)} accepted)")
-        p.add_argument("--rank", type=int, required=True)
+        p.add_argument("--rank", type=_parse_int, required=True)
         p.add_argument("--lambda", dest="lam", required=True, help="comma-separated partition, zero-padded to rank")
 
     p_char = sub.add_parser("char", help="compute a character polynomial")
@@ -469,8 +482,8 @@ def _build_parser() -> _Parser:
     p_tab.set_defaults(fn=cmd_tableaux)
 
     p_ver = sub.add_parser("verify", help="run the identity verification suites")
-    p_ver.add_argument("--max-rank", type=int, default=3)
-    p_ver.add_argument("--max-part", type=int, default=3)
+    p_ver.add_argument("--max-rank", type=_parse_int, default=3)
+    p_ver.add_argument("--max-part", type=_parse_int, default=3)
     p_ver.add_argument("--groups", help="comma-separated group filter")
     p_ver.add_argument("--format", choices=["text", "json"], default="text")
     p_ver.set_defaults(fn=cmd_verify)
@@ -486,10 +499,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The reader closed stdout (`flc ... | head`).  As Python's note on
+        # SIGPIPE advises, what is still buffered goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, Sequence, Tuple
 
 __all__ = [
     "VarId",
@@ -1051,15 +1051,16 @@ def poly_to_str(p: Poly) -> str:
     return " ".join(parts)
 
 
+def _json_terms(p: Poly) -> Iterator[dict]:
+    """poly_to_json's terms, yielded one at a time."""
+    name = {code: _var_name(code) for code in {code for m in p.terms for code, _ in m}}
+    for m in _descending(p):
+        yield {"coeff": p.terms[m], "monomial": {name[code]: exp for code, exp in m}}
+
+
 def poly_to_json(p: Poly) -> dict:
     """JSON form: {"terms": [{"coeff": c, "monomial": {"x1": 2, ...}}, ...]}."""
-    name = {code: _var_name(code) for code in {code for m in p.terms for code, _ in m}}
-    return {
-        "terms": [
-            {"coeff": p.terms[m], "monomial": {name[code]: exp for code, exp in m}}
-            for m in _descending(p)
-        ]
-    }
+    return {"terms": list(_json_terms(p))}
 
 
 def poly_from_json(data: Mapping) -> Poly:

@@ -2,11 +2,17 @@
 and the verification suite including a negative control."""
 
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
+from itertools import cycle
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import flc.characters
 import flc.cli
@@ -14,7 +20,7 @@ import flc.latticepaths
 import flc.tableaux
 from flc.characters import Group, char_jacobi_trudi, char_spec
 from flc.cli import main
-from flc.polyring import ONE, pa, poly_from_json, px, pxb
+from flc.polyring import ONE, pa, poly_from_json, poly_to_json, px, pxb
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +228,8 @@ _PINNED_COMMANDS = {
     "tableaux": ("tableaux",),
     "tableaux-json": ("tableaux", "--format", "json"),
     "char-all": ("char", "--method", "all"),
+    "char-json": ("char", "--format", "json"),
+    "char-all-json": ("char", "--method", "all", "--format", "json"),
 }
 
 _PINNED_DIGESTS = {
@@ -246,6 +254,20 @@ _PINNED_DIGESTS = {
     ("char-all", "o-even-diff"): "9a5d3865abc30020fa0e0b84cfbe3940c5c9c8f36c1a4dc786672e86222427b0",
     ("char-all", "so-even-plus"): "02f861224469fed4e620138b2dc7a7762f1d70951339b3a93e5883f477caa81e",
     ("char-all", "so-even-minus"): "86dd8a9dba723677447f71922e848dabdfcd0960896642536e9337e340be6f7f",
+    ("char-json", "gl"): "58a511fb36d2121711fcf90ad9b458ce94b0ce6dea4ab20f2df0154f02dc65f6",
+    ("char-json", "sp"): "1b932806fdf5214314e01611722a69608c28a4a2da4ee25dcc246f77b971a6fa",
+    ("char-json", "so-odd"): "bd7e3667d7a66d46caba93b0362346ef6542ccf09ac78484952b030806635455",
+    ("char-json", "o-even"): "bb5d01745b2722c75bdde9441e00c4c64f523ffcff4af7b5c8e97305a7fb83ae",
+    ("char-json", "o-even-diff"): "8ab3afd03f667a0049a10987ab4eb455717def2717b9e7ae781cddd93361ebbb",
+    ("char-json", "so-even-plus"): "6023993e2ade5d829c638246cdd415cc0ce6d2feab8bc26a3492376034f56cbd",
+    ("char-json", "so-even-minus"): "c79a0fcd4c6b53485192c226aae22e2a859526efcc2bd0422dcc6370422e13a0",
+    ("char-all-json", "gl"): "82938e2e5517c90c711d2fb7f1632c61bcb06136ddba83a3ef9743848334253e",
+    ("char-all-json", "sp"): "abb4130a4e37755aa956082ef648e1cc21a05724a96cda4ebfcb3f14f6b7fd58",
+    ("char-all-json", "so-odd"): "ab12683f168e8d358cf99f476abb52b375cf1e46e89db63e39a581ec4b688483",
+    ("char-all-json", "o-even"): "76db53031e550f809525252b288c2921244fd464621653e9d7b8854c34e441de",
+    ("char-all-json", "o-even-diff"): "13298c0232ac052a2bad420731ef6a3add9a1696c6ec17ee71274d8069c733f3",
+    ("char-all-json", "so-even-plus"): "e4a2ca4efc0a4fc3271ee27860c85e49149bca1eb839cb50c1e5eb59d442389f",
+    ("char-all-json", "so-even-minus"): "2bcff633264c94eb4026ab54b2b5e1b5530ea9b3eb5fb05dd3e88a67bb91c457",
 }
 
 
@@ -259,6 +281,84 @@ def test_cli_output_digest(capsys, command, group):
         )
         digest.update(f"{code}\n{out}\0".encode())
     assert digest.hexdigest() == _PINNED_DIGESTS[command, group]
+
+
+def test_verify_json_digest(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-rank", "2", "--max-part", "2", "--format", "json")
+    digest = hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()
+    assert digest == "09ee02343af1947b1cd9541f74f715e0680a0b2ad87b0c974115cef250afdbd2"
+
+
+# ---------------------------------------------------------------------------
+# the streaming JSON writer
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+def _const(value):
+    return lambda: value
+
+
+def _lazily(value, bits):
+    """value as the writer takes it: where the next bit is set, a list
+    becomes an iterator and any other value a callable.  Dicts are
+    rebuilt around lazy values; a list's items stay plain."""
+    lazy = next(bits)
+    if isinstance(value, dict):
+        value = {k: _lazily(v, bits) for k, v in value.items()}
+    if not lazy:
+        return value
+    return iter(value) if isinstance(value, list) else _const(value)
+
+
+@given(value=_JSON, mask=st.integers(0, 2**16 - 1))
+@example(value=[], mask=1)
+@example(value={}, mask=1)
+@example(value={"a": {}, "b": [], "c": "\u00e9\u2603"}, mask=2**16 - 1)
+@example(value=[{"n": i, "s": ["\u00e9", {}]} for i in range(1)], mask=1)
+@example(value={"x": {"terms": [{"n": i} for i in range(63)]}}, mask=2**16 - 1)
+@example(value={"x": {"terms": [{"n": i} for i in range(64)]}}, mask=2**16 - 1)
+@example(value={"x": {"terms": [{"n": i} for i in range(65)]}}, mask=2**16 - 1)
+@example(value=[[i, {"k": [i]}] for i in range(200)], mask=1)
+def test_json_writer_matches_json_dumps(value, mask):
+    bits = cycle(bool(mask >> i & 1) for i in range(16))
+    assert "".join(flc.cli._json_text(_lazily(value, bits))) == json.dumps(value, indent=2)
+
+
+class _HashingSink(io.TextIOBase):
+    """A stdout that hashes what is written to it and keeps none of it."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+
+def test_char_json_streams_in_bounded_memory():
+    """The 1 MB document of so(7) (3,3,2) is written as it is produced:
+    dumping it whole peaked at 17 MB, streaming it at about 1 MB."""
+    argv = ["char", "--group", "oo", "--rank", "3", "--lambda", "3,3,2", "--format", "json"]
+    p = char_jacobi_trudi(char_spec(Group.OO, 3, (3, 3, 2)))
+    doc = {"group": "so-odd", "rank": 3, "lambda": [3, 3, 2], "polynomial": poly_to_json(p)}
+    expected = hashlib.sha256((json.dumps(doc, indent=2) + "\n").encode()).hexdigest()
+    del doc
+    sink = _HashingSink()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.digest.hexdigest() == expected
+    assert peak < 4_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +426,29 @@ def test_bad_eval_pair_exits_one(capsys):
         )
         assert code == 1, pair
         assert f"--eval wants var=int, got {pair!r}" in err, pair
+
+
+_INT_FLAGS = {
+    "--rank": (["--rank", "{}", "--lambda", "1"], "argument --rank: invalid int value: {!r}"),
+    "--lambda": (["--rank", "1", "--lambda", "{}"], "--lambda wants a comma-separated integer list, got {!r}"),
+    "--eval": (["--rank", "1", "--lambda", "1", "--eval", "x1={}"], "--eval wants var=int, got 'x1={}'"),
+}
+
+
+@pytest.mark.parametrize("value", ["1_0", "\uff11"])
+@pytest.mark.parametrize("flag", sorted(_INT_FLAGS))
+def test_integers_are_ascii_digits_only(capsys, flag, value):
+    """int() alone reads "1_0" as 10 and a full-width digit as 1; every
+    numeric flag takes ASCII digits with an optional "-" and no more."""
+    argv, message = _INT_FLAGS[flag]
+    try:
+        code = main(["char", "--group", "gl", *(a.format(value) for a in argv)])
+    except SystemExit as exc:  # argparse rejects --rank itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert message.format(value) in err
 
 
 # ---------------------------------------------------------------------------
@@ -505,3 +628,20 @@ def test_module_invocation_round_trip():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "x1^2 + x1*a1 + x1*a2 + a1*a2"
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    """A reader that stops early (`flc ... | head -1`) closes the pipe
+    while the 1 MB document, more than a pipe buffer, is being written."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flc.cli", "char", "--group", "oo", "--rank", "3",
+         "--lambda", "3,3,2", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err, err.decode()
